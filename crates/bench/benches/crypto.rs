@@ -105,6 +105,20 @@ fn bench_mac(c: &mut Criterion) {
     group.bench_function("command_tag", |b| {
         b.iter(|| std::hint::black_box(engine.command_tag(0, 0xDEAD_BEC0, 1234)))
     });
+    // A request and its dummy, tagged in one two-lane pass.
+    group.throughput(Throughput::Elements(2));
+    group.bench_function("command_tags_pair", |b| {
+        b.iter(|| {
+            std::hint::black_box(
+                engine.command_tags([(0, 0xDEAD_BEC0, 1234), (1, 0x0FFF_FFC0, 1235)]),
+            )
+        })
+    });
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("reply_tag", |b| {
+        let ct = [0xA5u8; 64];
+        b.iter(|| std::hint::black_box(engine.reply_tag(1234, std::hint::black_box(&ct))))
+    });
     group.finish();
 }
 

@@ -17,6 +17,7 @@
 
 use obfusmem_crypto::aes::Block;
 use obfusmem_crypto::ctr::{PadBuffer, PADS_PER_REQUEST, PAD_BATCH};
+use obfusmem_crypto::mac::tags_equal;
 use obfusmem_mem::request::{AccessKind, BlockData};
 use obfusmem_sim::rng::SplitMix64;
 use obfusmem_sim::time::Time;
@@ -197,10 +198,7 @@ impl ProcessorEngine {
         let ct = reply
             .data_ct
             .ok_or_else(|| ObfusMemError::MalformedPacket("reply is missing its data".into()))?;
-        if session
-            .mac()
-            .verify(&[b"reply", &base_counter.to_le_bytes(), &ct], &tag)
-        {
+        if tags_equal(&session.mac().reply_tag(base_counter, &ct), &tag) {
             Ok(())
         } else {
             Err(ObfusMemError::TamperDetected {
@@ -299,18 +297,17 @@ impl ProcessorEngine {
         // MAC tags (§3.5).
         let (real_tag, dummy_tag) = if authenticate {
             match mac_scheme {
-                MacScheme::EncryptAndMac => (
-                    Some(session.mac().command_tag(
-                        header.kind.encode(),
-                        header.addr,
-                        base_counter,
-                    )),
-                    Some(session.mac().command_tag(
-                        dummy_header.kind.encode(),
-                        dummy_header.addr,
-                        base_counter + 1,
-                    )),
-                ),
+                MacScheme::EncryptAndMac => {
+                    let [real, dummy] = session.mac().command_tags([
+                        (header.kind.encode(), header.addr, base_counter),
+                        (
+                            dummy_header.kind.encode(),
+                            dummy_header.addr,
+                            base_counter + 1,
+                        ),
+                    ]);
+                    (Some(real), Some(dummy))
+                }
                 MacScheme::EncryptThenMac => {
                     let data_slice: &[u8] = data_ct.as_ref().map_or(&[], |d| &d[..]);
                     let dummy_slice: &[u8] = dummy_data_ct.as_ref().map_or(&[], |d| &d[..]);
@@ -380,18 +377,13 @@ impl ProcessorEngine {
 
         let (read_tag, write_tag) = if authenticate {
             match mac_scheme {
-                MacScheme::EncryptAndMac => (
-                    Some(
-                        session
-                            .mac()
-                            .command_tag(read.kind.encode(), read.addr, base_counter),
-                    ),
-                    Some(session.mac().command_tag(
-                        write.kind.encode(),
-                        write.addr,
-                        base_counter + 1,
-                    )),
-                ),
+                MacScheme::EncryptAndMac => {
+                    let [read_tag, write_tag] = session.mac().command_tags([
+                        (read.kind.encode(), read.addr, base_counter),
+                        (write.kind.encode(), write.addr, base_counter + 1),
+                    ]);
+                    (Some(read_tag), Some(write_tag))
+                }
                 MacScheme::EncryptThenMac => (
                     Some(session.mac().tag(&[&read_ct, &[]])),
                     Some(session.mac().tag(&[&write_ct, &data_ct[..]])),

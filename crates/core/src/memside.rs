@@ -8,6 +8,7 @@
 //! block before they reach the PCM array (saving write energy and wear,
 //! Observation 2), and encrypts read replies with the reserved data pads.
 
+use obfusmem_crypto::mac::{tags_equal, Tag};
 use obfusmem_mem::request::BlockData;
 use obfusmem_sim::rng::SplitMix64;
 
@@ -217,8 +218,11 @@ impl MemoryEngine {
 
         // Verify MACs before acting on anything (§3.5).
         if self.cfg.security.authenticates() {
-            self.verify_tag(lane, real, &real_header, base_counter)?;
-            self.verify_tag(lane, dummy, &companion_header, base_counter + 1)?;
+            self.verify_tags(
+                lane,
+                [(real, &real_header), (dummy, &companion_header)],
+                base_counter,
+            )?;
         }
 
         // Pads base+2..=5 decrypt the pair's (at most one) meaningful
@@ -287,7 +291,7 @@ impl MemoryEngine {
         let header = self.note_malformed(parse)?;
 
         if self.cfg.security.authenticates() {
-            self.verify_tag(lane, packet, &header, base_counter)?;
+            self.verify_tags(lane, [(packet, &header)], base_counter)?;
         }
 
         let payload = match &packet.data_ct {
@@ -352,45 +356,56 @@ impl MemoryEngine {
         parsed
     }
 
-    fn verify_tag(
+    /// Verifies the tags of `N` packets holding consecutive counters from
+    /// `base_counter`, in packet order: the first failure is counted and
+    /// returned, and the packets after it go unchecked. Under
+    /// encrypt-and-MAC all `N` expected tags are computed up front in one
+    /// multi-lane pass.
+    fn verify_tags<const N: usize>(
         &mut self,
         lane: usize,
-        packet: &BusPacket,
-        header: &RequestHeader,
-        counter: u64,
+        packets: [(&BusPacket, &RequestHeader); N],
+        base_counter: u64,
     ) -> Result<(), ObfusMemError> {
-        let tag = packet.tag.ok_or_else(|| {
-            self.tampers_detected += 1;
-            ObfusMemError::MalformedPacket("authenticated channel requires a tag".into())
-        })?;
-        let ok = match self.cfg.mac_scheme {
-            MacScheme::EncryptAndMac => {
-                // β = H(r ‖ a ‖ c) with the memory's own counter: detects
-                // modification (r'/a'), drops/replays (c mismatch).
-                self.sessions[lane]
-                    .mac()
-                    .command_tag(header.kind.encode(), header.addr, counter)
-                    == tag
-            }
-            MacScheme::EncryptThenMac => {
-                let data_slice: &[u8] = packet.data_ct.as_ref().map_or(&[], |d| &d[..]);
-                self.sessions[lane]
-                    .mac()
-                    .verify(&[&packet.header_ct, data_slice], &tag)
-            }
+        let mac = self.sessions[lane].mac();
+        let expected: Option<[Tag; N]> = match self.cfg.mac_scheme {
+            // β = H(r ‖ a ‖ c) with the memory's own counter: detects
+            // modification (r'/a'), drops/replays (c mismatch).
+            MacScheme::EncryptAndMac => Some(mac.command_tags(std::array::from_fn(|i| {
+                let header = packets[i].1;
+                (header.kind.encode(), header.addr, base_counter + i as u64)
+            }))),
+            MacScheme::EncryptThenMac => None,
         };
-        if ok {
-            Ok(())
-        } else {
-            self.tampers_detected += 1;
-            Err(ObfusMemError::TamperDetected {
-                detail: format!(
-                    "MAC mismatch at counter {counter} (decrypted {kind} {addr:#x})",
-                    kind = header.kind,
-                    addr = header.addr
-                ),
-            })
+        for (i, (packet, header)) in packets.into_iter().enumerate() {
+            let counter = base_counter + i as u64;
+            let Some(tag) = packet.tag else {
+                self.tampers_detected += 1;
+                return Err(ObfusMemError::MalformedPacket(
+                    "authenticated channel requires a tag".into(),
+                ));
+            };
+            let ok = match &expected {
+                Some(expected) => tags_equal(&expected[i], &tag),
+                None => {
+                    let data_slice: &[u8] = packet.data_ct.as_ref().map_or(&[], |d| &d[..]);
+                    self.sessions[lane]
+                        .mac()
+                        .verify(&[&packet.header_ct, data_slice], &tag)
+                }
+            };
+            if !ok {
+                self.tampers_detected += 1;
+                return Err(ObfusMemError::TamperDetected {
+                    detail: format!(
+                        "MAC mismatch at counter {counter} (decrypted {kind} {addr:#x})",
+                        kind = header.kind,
+                        addr = header.addr
+                    ),
+                });
+            }
         }
+        Ok(())
     }
 
     /// Builds the encrypted read-reply packet for a decoded request, using
@@ -421,11 +436,11 @@ impl MemoryEngine {
                 *d ^= p;
             }
         }
-        let tag = self.cfg.security.authenticates().then(|| {
-            self.sessions[lane]
-                .mac()
-                .tag(&[b"reply", &base_counter.to_le_bytes(), &ct])
-        });
+        let tag = self
+            .cfg
+            .security
+            .authenticates()
+            .then(|| self.sessions[lane].mac().reply_tag(base_counter, &ct));
         BusPacket {
             header_ct: [0u8; 16],
             data_ct: Some(ct),
@@ -575,6 +590,59 @@ mod tests {
             .unwrap();
         pkts.real.header_ct[0] ^= 0x01; // flip the request-type bit
         assert!(mem.receive_pair(&pkts.real, &pkts.dummy).is_err());
+    }
+
+    /// Both tags of a pair are checked in one pass, but the real
+    /// request's tag is still judged first and a pair counts one tamper.
+    #[test]
+    fn both_tags_corrupted_names_the_real_counter_once() {
+        let (mut proc, mut mem) = pair();
+        let mut pkts = proc
+            .obfuscate(Time::ZERO, 0, read_header(0x40), None)
+            .unwrap();
+        for tag in [&mut pkts.real.tag, &mut pkts.dummy.tag] {
+            tag.as_mut().unwrap()[0] ^= 1;
+        }
+        let err = mem.receive_pair(&pkts.real, &pkts.dummy).unwrap_err();
+        let base = pkts.base_counter;
+        assert!(
+            matches!(&err, ObfusMemError::TamperDetected { detail }
+                if detail.contains(&format!("at counter {base} "))),
+            "got {err}"
+        );
+        assert_eq!(mem.tampers_detected(), 1);
+    }
+
+    #[test]
+    fn corrupted_dummy_tag_names_the_dummy_counter() {
+        let (mut proc, mut mem) = pair();
+        let mut pkts = proc
+            .obfuscate(Time::ZERO, 0, read_header(0x40), None)
+            .unwrap();
+        pkts.dummy.tag.as_mut().unwrap()[7] ^= 0x80;
+        let err = mem.receive_pair(&pkts.real, &pkts.dummy).unwrap_err();
+        let dummy_counter = pkts.base_counter + 1;
+        assert!(
+            matches!(&err, ObfusMemError::TamperDetected { detail }
+                if detail.contains(&format!("at counter {dummy_counter} "))),
+            "got {err}"
+        );
+        assert_eq!(mem.tampers_detected(), 1);
+    }
+
+    #[test]
+    fn missing_dummy_tag_behind_a_valid_real_tag_is_malformed() {
+        let (mut proc, mut mem) = pair();
+        let mut pkts = proc
+            .obfuscate(Time::ZERO, 0, read_header(0x40), None)
+            .unwrap();
+        pkts.dummy.tag = None;
+        let err = mem.receive_pair(&pkts.real, &pkts.dummy).unwrap_err();
+        assert!(
+            matches!(err, ObfusMemError::MalformedPacket(_)),
+            "got {err}"
+        );
+        assert_eq!(mem.tampers_detected(), 1);
     }
 
     #[test]

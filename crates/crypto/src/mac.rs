@@ -18,7 +18,7 @@
 //! choose, because messages are counter-mode ciphertexts — but we keep the
 //! key at both ends to rule out trivial forgery.
 
-use crate::md5::Md5;
+use crate::md5::{self, Md5};
 use crate::sha1::Sha1;
 
 /// Truncated MAC tag carried next to each bus message (64 bits, matching
@@ -58,22 +58,22 @@ impl MacEngine {
 
     /// Computes the tag over `parts` (concatenated with length framing so
     /// `("ab","c")` and `("a","bc")` cannot collide).
+    ///
+    /// This is the generic streaming path and the reference every
+    /// fixed-layout tag below must match byte for byte.
     pub fn tag(&self, parts: &[&[u8]]) -> Tag {
-        let digest: Vec<u8> = match self.hash {
+        match self.hash {
             MacHash::Md5 => {
                 let mut h = Md5::new();
                 self.absorb(|d| h.update(d), parts);
-                h.finalize().to_vec()
+                truncate(&h.finalize())
             }
             MacHash::Sha1 => {
                 let mut h = Sha1::new();
                 self.absorb(|d| h.update(d), parts);
-                h.finalize().to_vec()
+                truncate(&h.finalize())
             }
-        };
-        let mut tag = [0u8; 8];
-        tag.copy_from_slice(&digest[..8]);
-        tag
+        }
     }
 
     fn absorb(&self, mut update: impl FnMut(&[u8]), parts: &[&[u8]]) {
@@ -85,31 +85,88 @@ impl MacEngine {
         update(&self.key);
     }
 
+    /// Lays out the keyed, framed MD5 message over `parts` in a stack
+    /// buffer of exactly `B` blocks, padded in place. `B` must be the
+    /// padded length of the message, which is fixed by the part lengths.
+    #[inline(always)]
+    fn md5_message<const B: usize>(&self, parts: &[&[u8]]) -> [[u8; 64]; B] {
+        let mut blocks = [[0u8; 64]; B];
+        let buf = blocks.as_flattened_mut();
+        let mut len = 0;
+        self.absorb(
+            |d| {
+                buf[len..len + d.len()].copy_from_slice(d);
+                len += d.len();
+            },
+            parts,
+        );
+        md5::pad_in_place(buf, len);
+        blocks
+    }
+
     /// Computes the encrypt-and-MAC tag `β = H(r ‖ a ‖ c)` over the
     /// plaintext request type, address, and channel counter.
     pub fn command_tag(&self, request_type: u8, address: u64, counter: u64) -> Tag {
-        self.tag(&[
-            &[request_type],
-            &address.to_le_bytes(),
-            &counter.to_le_bytes(),
-        ])
+        let [tag] = self.command_tags([(request_type, address, counter)]);
+        tag
+    }
+
+    /// [`command_tag`](MacEngine::command_tag) for `N` commands at once —
+    /// a request and its dummy are one two-lane pass. With MD5 each
+    /// message has a fixed 73-byte, two-block layout (key ‖ len ‖ r ‖
+    /// len ‖ a ‖ len ‖ c ‖ key), built on the stack and hashed with the
+    /// `N` lanes' MD5 rounds interleaved.
+    pub fn command_tags<const N: usize>(&self, commands: [(u8, u64, u64); N]) -> [Tag; N] {
+        match self.hash {
+            MacHash::Md5 => {
+                let messages = commands.map(|(r, a, c)| {
+                    self.md5_message::<2>(&[&[r], &a.to_le_bytes(), &c.to_le_bytes()])
+                });
+                md5::digest_padded(&messages).map(|d| truncate(&d))
+            }
+            MacHash::Sha1 => {
+                commands.map(|(r, a, c)| self.tag(&[&[r], &a.to_le_bytes(), &c.to_le_bytes()]))
+            }
+        }
+    }
+
+    /// Computes a read reply's tag `H("reply" ‖ c ‖ ct)` over the reply
+    /// ciphertext and the pair's base counter. With MD5 the 133-byte
+    /// message has a fixed three-block layout built on the stack.
+    pub fn reply_tag(&self, counter: u64, ct: &[u8; 64]) -> Tag {
+        let parts: [&[u8]; 3] = [b"reply", &counter.to_le_bytes(), ct];
+        match self.hash {
+            MacHash::Md5 => {
+                let [digest] = md5::digest_padded(&[self.md5_message::<3>(&parts)]);
+                truncate(&digest)
+            }
+            MacHash::Sha1 => self.tag(&parts),
+        }
     }
 
     /// Verifies a tag in constant-shape fashion (full compare, no early
     /// exit at the first byte).
     pub fn verify(&self, parts: &[&[u8]], tag: &Tag) -> bool {
-        let expected = self.tag(parts);
-        expected
-            .iter()
-            .zip(tag.iter())
-            .fold(0u8, |acc, (a, b)| acc | (a ^ b))
-            == 0
+        tags_equal(&self.tag(parts), tag)
     }
+}
+
+/// Compares two tags without an early exit: every byte is folded in, so
+/// the compare's shape does not depend on where the tags first differ.
+pub fn tags_equal(a: &Tag, b: &Tag) -> bool {
+    a.iter().zip(b).fold(0u8, |acc, (x, y)| acc | (x ^ y)) == 0
+}
+
+fn truncate(digest: &[u8]) -> Tag {
+    let mut tag = [0u8; 8];
+    tag.copy_from_slice(&digest[..8]);
+    tag
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::md5::to_hex;
     use obfusmem_testkit as proptest;
 
     fn engine(hash: MacHash) -> MacEngine {
@@ -163,7 +220,58 @@ mod tests {
         assert!(!e.verify(&[b"hello"], &bad));
     }
 
+    /// Tag bytes recorded from the generic streaming path: whatever the
+    /// kernel underneath, these are what goes on the bus.
+    #[test]
+    fn known_answer_tags() {
+        let md5 = MacEngine::new([3; 16], MacHash::Md5);
+        let sha1 = MacEngine::new([3; 16], MacHash::Sha1);
+        let ct: [u8; 64] = std::array::from_fn(|i| i as u8);
+        assert_eq!(
+            to_hex(&md5.command_tag(0, 0xDEAD_BEC0, 1234)),
+            "b36df1b64e5d2386"
+        );
+        assert_eq!(to_hex(&md5.reply_tag(77, &ct)), "4a7696af73ea6cef");
+        assert_eq!(
+            to_hex(&sha1.command_tag(0, 0xDEAD_BEC0, 1234)),
+            "d419bbcf34213534"
+        );
+    }
+
+    #[test]
+    fn tags_equal_compares_every_byte() {
+        let tag = [7u8; 8];
+        assert!(tags_equal(&tag, &tag));
+        for i in 0..8 {
+            let mut other = tag;
+            other[i] ^= 0x80;
+            assert!(!tags_equal(&tag, &other));
+        }
+    }
+
     proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn fixed_layout_tags_match_generic(
+            key: [u8; 16], r: [u8; 2], addr: [u64; 2], ctr: u64, ct: [u8; 64], sha1: bool
+        ) {
+            let e = MacEngine::new(key, if sha1 { MacHash::Sha1 } else { MacHash::Md5 });
+            let generic = |r: u8, a: u64, c: u64| {
+                e.tag(&[&[r], &a.to_le_bytes(), &c.to_le_bytes()])
+            };
+            let pair = e.command_tags([(r[0], addr[0], ctr), (r[1], addr[1], ctr.wrapping_add(1))]);
+            proptest::prop_assert_eq!(
+                pair,
+                [generic(r[0], addr[0], ctr), generic(r[1], addr[1], ctr.wrapping_add(1))]
+            );
+            proptest::prop_assert_eq!(e.command_tag(r[0], addr[0], ctr), pair[0]);
+            proptest::prop_assert_eq!(
+                e.reply_tag(ctr, &ct),
+                e.tag(&[b"reply", &ctr.to_le_bytes(), &ct])
+            );
+        }
+
         #[test]
         fn any_single_bitflip_detected(r in 0u8..2, addr: u64, ctr: u64, bit in 0usize..64) {
             let e = engine(MacHash::Md5);

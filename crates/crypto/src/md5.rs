@@ -55,7 +55,7 @@ impl Md5 {
     /// Creates a hasher in the RFC 1321 initial state.
     pub fn new() -> Self {
         Md5 {
-            state: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476],
+            state: INIT,
             buffer: [0u8; 64],
             buffer_len: 0,
             total_len: 0,
@@ -99,57 +99,131 @@ impl Md5 {
     /// Applies padding and returns the digest, consuming the hasher.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        // Careful: update() above already bumped total_len; we only use the
-        // pre-padding bit length captured before.
-        while self.buffer_len != 56 {
-            let buffer_len = self.buffer_len;
-            let zeros = if buffer_len < 56 {
-                56 - buffer_len
-            } else {
-                64 - buffer_len + 56
-            };
-            let pad = vec![0u8; zeros.min(64)];
-            self.update(&pad);
+        let n = self.buffer_len;
+        self.buffer[n..].fill(0);
+        self.buffer[n] = 0x80;
+        if n >= 56 {
+            let block = self.buffer;
+            self.compress(&block);
+            self.buffer = [0u8; 64];
         }
-        self.update(&bit_len.to_le_bytes());
-        debug_assert_eq!(self.buffer_len, 0);
-        let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_le_bytes());
-        }
-        out
+        self.buffer[56..].copy_from_slice(&bit_len.to_le_bytes());
+        let block = self.buffer;
+        self.compress(&block);
+        state_to_digest(&self.state)
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut m = [0u32; 16];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            m[i] = u32::from_le_bytes(chunk.try_into().unwrap());
-        }
-        let [mut a, mut b, mut c, mut d] = self.state;
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let tmp = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(
-                a.wrapping_add(f)
-                    .wrapping_add(K[i])
-                    .wrapping_add(m[g])
-                    .rotate_left(S[i]),
-            );
-            a = tmp;
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
+        compress_n(std::array::from_mut(&mut self.state), [block]);
     }
+}
+
+/// RFC 1321 initial chaining state.
+const INIT: [u32; 4] = [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476];
+
+/// Message-word index of each of the 64 steps.
+const G: [usize; 64] = {
+    let mut g = [0usize; 64];
+    let mut i = 0;
+    while i < 64 {
+        g[i] = match i / 16 {
+            0 => i,
+            1 => (5 * i + 1) % 16,
+            2 => (3 * i + 5) % 16,
+            _ => (7 * i) % 16,
+        };
+        i += 1;
+    }
+    g
+};
+
+/// One MD5 step on `[a, b, c, d]` with round function value `f`,
+/// returning the rotated register file `[d, b', b, c]`.
+#[inline(always)]
+fn step([a, b, c, d]: [u32; 4], f: u32, i: usize, m: &[u32; 16]) -> [u32; 4] {
+    let t = a
+        .wrapping_add(f)
+        .wrapping_add(K[i])
+        .wrapping_add(m[G[i]])
+        .rotate_left(S[i]);
+    [d, b.wrapping_add(t), b, c]
+}
+
+/// The MD5 block function, run over `N` independent lanes at once.
+///
+/// Lane `l` compresses `blocks[l]` into `states[l]`. The 64 steps of
+/// every lane are interleaved step by step, so the lanes' serial
+/// dependency chains overlap in the CPU pipeline: two lanes cost little
+/// more than one. `N = 1` is the plain block function the streaming
+/// [`Md5`] hasher uses.
+#[inline(always)]
+pub(crate) fn compress_n<const N: usize>(states: &mut [[u32; 4]; N], blocks: [&[u8; 64]; N]) {
+    let m: [[u32; 16]; N] = blocks.map(|block| {
+        std::array::from_fn(|i| {
+            u32::from_le_bytes([
+                block[4 * i],
+                block[4 * i + 1],
+                block[4 * i + 2],
+                block[4 * i + 3],
+            ])
+        })
+    });
+    let mut v = *states;
+    // Fully unrolled so every step's K, S and message index are
+    // constants and each lane's registers stay in registers.
+    macro_rules! round {
+        ($f:expr; $($i:literal)+) => {$(
+            for l in 0..N {
+                let [_, b, c, d] = v[l];
+                v[l] = step(v[l], $f(b, c, d), $i, &m[l]);
+            }
+        )+};
+    }
+    // F and G are bit selects, written as `x ^ (sel & (y ^ x))`.
+    round!(|b: u32, c: u32, d: u32| d ^ (b & (c ^ d)); 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);
+    round!(|b: u32, c: u32, d: u32| c ^ (d & (b ^ c)); 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31);
+    round!(|b: u32, c: u32, d: u32| b ^ c ^ d; 32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47);
+    round!(|b: u32, c: u32, d: u32| c ^ (b | !d); 48 49 50 51 52 53 54 55 56 57 58 59 60 61 62 63);
+    for (state, v) in states.iter_mut().zip(v) {
+        for (s, v) in state.iter_mut().zip(v) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// Pads the `len`-byte message at the front of `buf` in place: the 0x80
+/// marker after it and its bit length in the last eight bytes. `buf`
+/// must be zero past the message and exactly as long as the padded
+/// message (a multiple of 64 bytes, at least `len + 9`).
+pub(crate) fn pad_in_place(buf: &mut [u8], len: usize) {
+    debug_assert!(buf.len().is_multiple_of(64) && len + 9 <= buf.len() && buf.len() < len + 73);
+    buf[len] = 0x80;
+    let end = buf.len();
+    buf[end - 8..].copy_from_slice(&(len as u64 * 8).to_le_bytes());
+}
+
+/// Digests `N` messages already padded (see [`pad_in_place`]) to `B`
+/// blocks each, one [`compress_n`] lane per message.
+#[inline]
+pub(crate) fn digest_padded<const N: usize, const B: usize>(
+    messages: &[[[u8; 64]; B]; N],
+) -> [[u8; DIGEST_LEN]; N] {
+    let mut states = [INIT; N];
+    // `b` is the block index within every lane's message, not a walk
+    // over `messages` itself.
+    #[allow(clippy::needless_range_loop)]
+    for b in 0..B {
+        compress_n(&mut states, std::array::from_fn(|l| &messages[l][b]));
+    }
+    states.map(|state| state_to_digest(&state))
+}
+
+fn state_to_digest(state: &[u32; 4]) -> [u8; DIGEST_LEN] {
+    let mut out = [0u8; DIGEST_LEN];
+    for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&word.to_le_bytes());
+    }
+    out
 }
 
 /// Renders a digest as lowercase hex.
@@ -198,6 +272,14 @@ mod tests {
         assert_eq!(h.finalize(), Md5::digest(&data));
     }
 
+    #[test]
+    fn padding_boundary_lengths() {
+        // 55 bytes pad into one block; 56 and 64 spill into a second.
+        assert_eq!(hex(&[b'a'; 55]), "ef1772b6dff9a122358552954ad0df65");
+        assert_eq!(hex(&[b'a'; 56]), "3b0c8ac703f828b04c6c197006d17218");
+        assert_eq!(hex(&[b'a'; 64]), "014842d480b571495a4a0363793f7367");
+    }
+
     proptest::proptest! {
         #[test]
         fn split_point_does_not_change_digest(data: Vec<u8>, split in 0usize..512) {
@@ -206,6 +288,29 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             proptest::prop_assert_eq!(h.finalize(), Md5::digest(&data));
+        }
+
+        #[test]
+        fn two_lanes_match_two_single_lanes(
+            s0: [u32; 4], s1: [u32; 4], b0: [u8; 64], b1: [u8; 64]
+        ) {
+            let mut pair = [s0, s1];
+            compress_n(&mut pair, [&b0, &b1]);
+            let (mut one, mut two) = ([s0], [s1]);
+            compress_n(&mut one, [&b0]);
+            compress_n(&mut two, [&b1]);
+            proptest::prop_assert_eq!(pair, [one[0], two[0]]);
+        }
+
+        #[test]
+        fn padded_lanes_match_streaming_digest(a: [u8; 73], b: [u8; 73]) {
+            let mut msgs = [[[0u8; 64]; 2]; 2];
+            for (msg, data) in msgs.iter_mut().zip([a, b]) {
+                let buf = msg.as_flattened_mut();
+                buf[..73].copy_from_slice(&data);
+                pad_in_place(buf, 73);
+            }
+            proptest::prop_assert_eq!(digest_padded(&msgs), [Md5::digest(&a), Md5::digest(&b)]);
         }
     }
 }

@@ -80,22 +80,20 @@ impl Sha1 {
     /// Applies padding and returns the digest, consuming the hasher.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            let buffer_len = self.buffer_len;
-            let zeros = if buffer_len < 56 {
-                56 - buffer_len
-            } else {
-                64 - buffer_len + 56
-            };
-            let pad = vec![0u8; zeros.min(64)];
-            self.update(&pad);
+        let n = self.buffer_len;
+        self.buffer[n..].fill(0);
+        self.buffer[n] = 0x80;
+        if n >= 56 {
+            let block = self.buffer;
+            self.compress(&block);
+            self.buffer = [0u8; 64];
         }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffer_len, 0);
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
+        let block = self.buffer;
+        self.compress(&block);
         let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(&self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
@@ -170,6 +168,19 @@ mod tests {
         assert_eq!(
             to_hex(&h.finalize()),
             "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
+        );
+    }
+
+    #[test]
+    fn padding_boundary_lengths() {
+        // 55 bytes pad into one block, 56 spill into a second.
+        assert_eq!(
+            to_hex(&Sha1::digest(&[b'a'; 55])),
+            "c1c8bbdc22796e28c0e15163d20899b65621d65a"
+        );
+        assert_eq!(
+            to_hex(&Sha1::digest(&[b'a'; 56])),
+            "c2db330f6083854c99d4b5bfb6e8f29f201be699"
         );
     }
 
