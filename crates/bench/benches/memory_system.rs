@@ -1,11 +1,15 @@
 //! Memory-device microbenchmarks: simulator throughput for the access
-//! patterns that matter (row hits, row misses, channel parallelism).
+//! patterns that matter (row hits, row misses, channel parallelism), plus
+//! the per-point workload setup that precedes them.
 
 use obfusmem_bench::quick::{Criterion, Throughput};
 use obfusmem_bench::{criterion_group, criterion_main};
+use obfusmem_cpu::stream::MissStream;
+use obfusmem_cpu::workload::by_name;
 use obfusmem_mem::config::MemConfig;
 use obfusmem_mem::device::PcmMemory;
 use obfusmem_mem::request::AccessKind;
+use obfusmem_sim::rng::Zipf;
 use obfusmem_sim::time::{Duration, Time};
 
 fn bench_device(c: &mut Criterion) {
@@ -102,8 +106,32 @@ fn bench_scheduler(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_workload(c: &mut Criterion) {
+    const N: usize = 1 << 20;
+    let mut group = c.benchmark_group("workload");
+    group.bench_function("zipf_new_cold", |b| {
+        // Two keys in turn: every call misses the one-entry memo.
+        let mut toggle = false;
+        b.iter(|| {
+            toggle = !toggle;
+            Zipf::new(N, if toggle { 0.9 } else { 1.1 }).len()
+        })
+    });
+    group.bench_function("zipf_new_hit", |b| b.iter(|| Zipf::new(N, 0.9).len()));
+    group.bench_function("miss_stream_new_bwaves", |b| {
+        let bwaves = by_name("bwaves").expect("Table 1 workload");
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            MissStream::new(bwaves.clone(), seed).next_event()
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_workload,
     bench_device,
     bench_functional_store,
     bench_bus,

@@ -223,6 +223,30 @@ mod tests {
         }
     }
 
+    #[test]
+    fn events_do_not_depend_on_the_zipf_memo_state() {
+        // The Zipf table is memoized per thread: the first stream on a
+        // fresh thread builds it, the next reuses it, and a stream of a
+        // spec with another exponent evicts it. Every stream must draw
+        // the events it draws on a fresh thread.
+        let spec = micro_test_workload();
+        let other = WorkloadSpec {
+            zipf_exponent: 1.1,
+            ..micro_test_workload()
+        };
+        let events = |spec: &WorkloadSpec| MissStream::new(spec.clone(), 11).take_events(10_000);
+        let cold = |spec: &WorkloadSpec| {
+            let spec = spec.clone();
+            std::thread::spawn(move || events(&spec)).join().unwrap()
+        };
+        let (spec_cold, other_cold) = (cold(&spec), cold(&other));
+        assert_ne!(spec_cold, other_cold, "the exponent must matter");
+        assert_eq!(events(&spec), spec_cold, "first stream on this thread");
+        assert_eq!(events(&spec), spec_cold, "warm memo");
+        assert_eq!(events(&other), other_cold, "evicting stream");
+        assert_eq!(events(&spec), spec_cold, "rebuilt after eviction");
+    }
+
     proptest::proptest! {
         #[test]
         fn gaps_are_positive_and_bounded(seed: u64) {

@@ -1,7 +1,9 @@
 //! A dependency-free work-stealing thread pool for static job sets.
 //!
 //! Built on `std::thread::scope` and channels only. Each worker owns a
-//! deque; jobs are dealt round-robin up front; a worker drains its own
+//! deque; jobs are dealt up front in contiguous blocks, so neighbouring
+//! jobs (a sweep's schemes for one workload) run back to back on one
+//! worker and share its per-thread caches; a worker drains its own
 //! deque from the front and, when empty, steals from the *back* of the
 //! others (the classic arrangement: owners and thieves touch opposite
 //! ends, so contention stays low and long tails get shared). Because the
@@ -35,14 +37,7 @@ pub fn run_jobs<J, T>(
         return;
     }
     let threads = threads.clamp(1, jobs.len());
-    let queues: Vec<Mutex<VecDeque<(usize, J)>>> =
-        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (index, job) in jobs.into_iter().enumerate() {
-        queues[index % threads]
-            .lock()
-            .unwrap()
-            .push_back((index, job));
-    }
+    let queues = deal(jobs, threads);
 
     let (tx, rx) = mpsc::channel::<(usize, J, T)>();
     std::thread::scope(|scope| {
@@ -66,8 +61,22 @@ pub fn run_jobs<J, T>(
     });
 }
 
+/// One worker's deque of `(submission index, job)`.
+type Queue<J> = Mutex<VecDeque<(usize, J)>>;
+
+/// Splits `jobs` into `threads` deques of contiguous index blocks whose
+/// sizes differ by at most one.
+fn deal<J>(jobs: Vec<J>, threads: usize) -> Vec<Queue<J>> {
+    let len = jobs.len();
+    let mut queues: Vec<VecDeque<(usize, J)>> = (0..threads).map(|_| VecDeque::new()).collect();
+    for (index, job) in jobs.into_iter().enumerate() {
+        queues[index * threads / len].push_back((index, job));
+    }
+    queues.into_iter().map(Mutex::new).collect()
+}
+
 /// Pop from our own front, else steal from someone else's back.
-fn next_job<J>(queues: &[Mutex<VecDeque<(usize, J)>>], me: usize) -> Option<(usize, J)> {
+fn next_job<J>(queues: &[Queue<J>], me: usize) -> Option<(usize, J)> {
     if let Some(job) = queues[me].lock().unwrap().pop_front() {
         return Some(job);
     }
@@ -130,6 +139,32 @@ mod tests {
             |_, _, _| {},
         );
         assert!(worker_ids.lock().unwrap().len() > 1, "no stealing happened");
+    }
+
+    #[test]
+    fn jobs_are_dealt_in_contiguous_blocks() {
+        for (len, threads) in [(60usize, 4usize), (60, 7), (5, 4), (103, 32), (9, 1)] {
+            let queues = deal((0..len).collect::<Vec<_>>(), threads);
+            assert_eq!(queues.len(), threads);
+            let blocks: Vec<Vec<usize>> = queues
+                .into_iter()
+                .map(|q| {
+                    q.into_inner()
+                        .unwrap()
+                        .into_iter()
+                        .map(|(i, _)| i)
+                        .collect()
+                })
+                .collect();
+            assert_eq!(
+                blocks.concat(),
+                (0..len).collect::<Vec<_>>(),
+                "len={len} threads={threads}: blocks are not contiguous and in order"
+            );
+            let sizes = blocks.iter().map(Vec::len);
+            let spread = sizes.clone().max().unwrap() - sizes.min().unwrap();
+            assert!(spread <= 1, "len={len} threads={threads}: uneven deal");
+        }
     }
 
     #[test]

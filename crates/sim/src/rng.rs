@@ -5,6 +5,9 @@
 //! [`SplitMix64`], so a `(seed, config)` pair fully determines every result
 //! in `EXPERIMENTS.md`.
 
+use std::cell::RefCell;
+use std::sync::Arc;
+
 /// SplitMix64 PRNG (Steele, Lea, Flood 2014). Tiny state, passes BigCrush
 /// when used as a 64-bit generator, and splits cleanly into independent
 /// streams — one per simulated component.
@@ -107,14 +110,30 @@ impl SplitMix64 {
 /// Workload generators use this for temporal locality: a small hot set
 /// absorbs most accesses, matching the reuse behaviour that lets caches
 /// filter most SPEC traffic.
+///
+/// The CDF is shared by `Arc`: clones, and samplers built on the same
+/// thread for the same `(n, s)` back to back, reuse one table.
 #[derive(Debug, Clone)]
 pub struct Zipf {
-    cdf: Vec<f64>,
+    cdf: Arc<[f64]>,
+}
+
+/// A CDF with its key, `(n, s.to_bits())`.
+type KeyedCdf = (usize, u64, Arc<[f64]>);
+
+thread_local! {
+    /// The last CDF this thread built. One entry bounds the memo to a
+    /// single table, usually the one a live sampler already holds.
+    static LAST_CDF: RefCell<Option<KeyedCdf>> = const { RefCell::new(None) };
 }
 
 impl Zipf {
     /// Builds the sampler for `n` items with exponent `s` (s = 0 is
     /// uniform; s ≈ 1 is classic Zipf).
+    ///
+    /// The table is a pure function of `(n, s)`, so a call with the same
+    /// key as this thread's previous build returns that table instead of
+    /// rebuilding it.
     ///
     /// # Panics
     ///
@@ -122,15 +141,18 @@ impl Zipf {
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "zipf over an empty domain");
         assert!(s >= 0.0, "zipf exponent must be non-negative");
-        let mut cdf = Vec::with_capacity(n);
-        let mut total = 0.0;
-        for k in 1..=n {
-            total += 1.0 / (k as f64).powf(s);
-            cdf.push(total);
-        }
-        for v in cdf.iter_mut() {
-            *v /= total;
-        }
+        let key = s.to_bits();
+        let cdf = LAST_CDF.with(|last| {
+            let mut last = last.borrow_mut();
+            match &*last {
+                Some((ln, ls, cdf)) if (*ln, *ls) == (n, key) => return Arc::clone(cdf),
+                // Release the old table before building, so two never coexist.
+                _ => *last = None,
+            }
+            let cdf = build_cdf(n, s);
+            *last = Some((n, key, Arc::clone(&cdf)));
+            cdf
+        });
         Zipf { cdf }
     }
 
@@ -155,6 +177,22 @@ impl Zipf {
             Err(i) => i.min(self.cdf.len() - 1),
         }
     }
+}
+
+/// The normalized running sum of `1 / k^s` for `k in 1..=n`, collected
+/// straight into its one allocation and divided in place.
+fn build_cdf(n: usize, s: f64) -> Arc<[f64]> {
+    let mut total = 0.0;
+    let mut cdf: Arc<[f64]> = (1..=n)
+        .map(|k| {
+            total += 1.0 / (k as f64).powf(s);
+            total
+        })
+        .collect();
+    for v in Arc::get_mut(&mut cdf).expect("a fresh table is unshared") {
+        *v /= total;
+    }
+    cdf
 }
 
 #[cfg(test)]
@@ -321,7 +359,80 @@ mod tests {
         }
     }
 
+    /// The plain build loop, with no memo and no `Arc`: the oracle every
+    /// table `Zipf::new` returns must match bit for bit.
+    fn reference_cdf(n: usize, s: f64) -> Vec<f64> {
+        let mut cdf = Vec::with_capacity(n);
+        let mut total = 0.0;
+        for k in 1..=n {
+            total += 1.0 / (k as f64).powf(s);
+            cdf.push(total);
+        }
+        for v in cdf.iter_mut() {
+            *v /= total;
+        }
+        cdf
+    }
+
+    fn assert_bits_match_reference(zipf: &Zipf, n: usize, s: f64) {
+        let bits = |cdf: &[f64]| cdf.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&zipf.cdf),
+            bits(&reference_cdf(n, s)),
+            "zipf({n}, {s}) differs from the reference CDF"
+        );
+    }
+
+    #[test]
+    fn memoized_tables_match_reference_on_miss_hit_and_eviction() {
+        let (a, b) = ((4096, 0.9), (3000, 1.2));
+        let cold = Zipf::new(a.0, a.1);
+        assert_bits_match_reference(&cold, a.0, a.1);
+        let hit = Zipf::new(a.0, a.1);
+        assert_bits_match_reference(&hit, a.0, a.1);
+        let evicting = Zipf::new(b.0, b.1);
+        assert_bits_match_reference(&evicting, b.0, b.1);
+        let rebuilt = Zipf::new(a.0, a.1);
+        assert_bits_match_reference(&rebuilt, a.0, a.1);
+        assert!(!Arc::ptr_eq(&evicting.cdf, &rebuilt.cdf));
+    }
+
+    #[test]
+    fn a_hit_shares_storage_and_a_different_exponent_does_not() {
+        let first = Zipf::new(2048, 0.8);
+        let hit = Zipf::new(2048, 0.8);
+        assert!(Arc::ptr_eq(&first.cdf, &hit.cdf), "same key must share");
+        let other_s = Zipf::new(2048, 0.8 + f64::EPSILON);
+        assert!(
+            !Arc::ptr_eq(&first.cdf, &other_s.cdf),
+            "a key differing only in s must not share"
+        );
+        assert_bits_match_reference(&other_s, 2048, 0.8 + f64::EPSILON);
+        let other_n = Zipf::new(2047, 0.8 + f64::EPSILON);
+        assert!(!Arc::ptr_eq(&other_s.cdf, &other_n.cdf));
+        assert_bits_match_reference(&other_n, 2047, 0.8 + f64::EPSILON);
+    }
+
+    #[test]
+    fn tables_built_on_other_threads_sample_the_same_sequence() {
+        let draws = |zipf: &Zipf| {
+            let mut r = SplitMix64::new(9);
+            (0..10_000).map(|_| zipf.sample(&mut r)).collect::<Vec<_>>()
+        };
+        let here = draws(&Zipf::new(1 << 14, 1.1));
+        let there = std::thread::spawn(move || draws(&Zipf::new(1 << 14, 1.1)))
+            .join()
+            .unwrap();
+        assert_eq!(here, there);
+    }
+
     proptest::proptest! {
+        #[test]
+        fn memoized_table_is_bit_identical_to_reference(n in 1usize..5000, s in 0.0f64..2.0) {
+            assert_bits_match_reference(&Zipf::new(n, s), n, s);
+            assert_bits_match_reference(&Zipf::new(n, 2.0), n, 2.0);
+        }
+
         #[test]
         fn below_always_in_range(seed: u64, bound in 1u64..) {
             let mut r = SplitMix64::new(seed);
