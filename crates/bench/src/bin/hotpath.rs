@@ -4,19 +4,19 @@
 //! hotpath [--quick] [--out PATH] [--gate BASELINE] [-n INSTRUCTIONS] [-s SEED]
 //! ```
 //!
-//! Measures the overhauled hot paths — the wide-block (bitsliced /
-//! AES-NI) engine against the T-table and scalar oracles, batched CTR pad
-//! generation, and the calendar event queue against a `BinaryHeap`
-//! reference — plus an end-to-end Figure 4 sweep A/B/C (scalar-forced vs
-//! T-table-forced vs wide) and a no-op-recorder A/B (plain run vs
+//! Measures the overhauled hot paths — the wide-block engine (the
+//! portable bitsliced tier pinned, and the auto-detected tier) against the
+//! scalar oracle, batched CTR pad generation, and the calendar event queue
+//! against a `BinaryHeap` reference — plus an end-to-end Figure 4 sweep
+//! A/B (scalar-forced vs default) and a no-op-recorder A/B (plain run vs
 //! disabled observability layer), and writes the numbers to
 //! `BENCH_hotpath.json` (override with `--out`).
 //!
-//! The binary doubles as the CI divergence gate: it exits nonzero if the
-//! three AES implementations disagree on FIPS-197 vectors or random
-//! blocks, or if the end-to-end sweep results differ between any pair of
-//! them (they must be bit-identical — the AES engine swap is a pure
-//! performance change).
+//! The binary doubles as the CI divergence gate: it exits nonzero if any
+//! wide-engine tier the CPU supports disagrees with the scalar oracle on
+//! FIPS-197 vectors or random blocks, or if the end-to-end sweep results
+//! differ between the scalar and default runs (they must be bit-identical
+//! — the AES engine is a pure performance choice).
 //!
 //! `--quick` shrinks measurement budgets and the sweep size for CI smoke
 //! runs; committed baselines use the full mode defaults.
@@ -34,8 +34,8 @@ use std::time::{Duration, Instant};
 
 use obfusmem_bench::experiments::{fig4, fig4_average, Fig4Row};
 use obfusmem_bench::quick::measure_ns_budget;
-use obfusmem_crypto::aes::{set_force_scalar, set_force_ttable, Aes128, Block};
-use obfusmem_crypto::bitslice;
+use obfusmem_crypto::aes::{set_force_scalar, Aes128, Block};
+use obfusmem_crypto::bitslice::{self, Tier};
 use obfusmem_crypto::ctr::CtrStream;
 use obfusmem_harness::jsonl::JsonObject;
 use obfusmem_harness::measure::{
@@ -151,11 +151,24 @@ fn gate_against(baseline_path: &str, metrics: &[GateMetric], max_drop: f64) -> V
     failures
 }
 
-/// FIPS-197 Appendix B + random differential: the wide-block engine, the
-/// T-table path, and the scalar reference must be bit-identical — on
-/// single blocks, and batch-for-batch through the block entry point the
-/// wide engine actually serves.
+/// FIPS-197 Appendix B + random differential: every wide-engine tier this
+/// CPU supports and the scalar reference must be bit-identical — on single
+/// blocks, and batch-for-batch through the block entry point the wide
+/// engine actually serves. Pins each tier in turn and restores automatic
+/// detection before returning.
 fn divergence_check(random_blocks: u32) -> Result<(), String> {
+    let result = [Tier::Sliced2, Tier::HwAes]
+        .into_iter()
+        .filter(|&t| bitslice::supported(t))
+        .try_for_each(|tier| {
+            bitslice::set_force_tier(Some(tier));
+            divergence_check_on(random_blocks).map_err(|e| format!("tier {}: {e}", tier.name()))
+        });
+    bitslice::set_force_tier(None);
+    result
+}
+
+fn divergence_check_on(random_blocks: u32) -> Result<(), String> {
     let key: [u8; 16] = [
         0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f,
         0x3c,
@@ -173,7 +186,7 @@ fn divergence_check(random_blocks: u32) -> Result<(), String> {
     if fast.encrypt_block(&pt) != ct || slow.encrypt_block(&pt) != ct {
         return Err("FIPS-197 Appendix B encryption vector failed".into());
     }
-    if fast.decrypt_block(&ct) != pt || slow.decrypt_block(&ct) != pt {
+    if fast.decrypt_block(&ct) != pt {
         return Err("FIPS-197 Appendix B decryption vector failed".into());
     }
     let mut wide = [pt];
@@ -183,7 +196,7 @@ fn divergence_check(random_blocks: u32) -> Result<(), String> {
     }
 
     // Random batches, deliberately ragged around the engine's pass
-    // widths, through all three implementations.
+    // width, through the wide engine and the scalar oracle.
     let mut rng = SplitMix64::new(0x0bf0_5a1e);
     let mut k = [0u8; 16];
     let mut batch = Vec::new();
@@ -200,13 +213,8 @@ fn divergence_check(random_blocks: u32) -> Result<(), String> {
         let scalar = Aes128::new_scalar(&k);
         let mut via_wide = batch.clone();
         cipher.encrypt_blocks(&mut via_wide);
-        let mut via_ttable = batch.clone();
-        cipher.encrypt_blocks_ttable(&mut via_ttable);
         let mut via_scalar = batch.clone();
         scalar.encrypt_blocks(&mut via_scalar);
-        if via_wide != via_ttable {
-            return Err(format!("wide/T-table divergence in batch at block {done}"));
-        }
         if via_wide != via_scalar {
             return Err(format!("wide/scalar divergence in batch at block {done}"));
         }
@@ -305,31 +313,30 @@ fn main() {
 
     eprintln!("# hotpath: divergence gate ({random_blocks} random blocks)");
     if let Err(e) = divergence_check(random_blocks) {
-        eprintln!("FAIL: scalar/T-table divergence: {e}");
+        eprintln!("FAIL: wide/scalar divergence: {e}");
         std::process::exit(1);
     }
 
     // --- AES single block ---
     let key = [7u8; 16];
     let block = [0x42u8; 16];
-    let ttable = Aes128::new(&key);
     let scalar = Aes128::new_scalar(&key);
     let aes_scalar_ns = measure_ns_budget(|| scalar.encrypt_block(&block), budget);
-    let aes_ttable_ns = measure_ns_budget(|| ttable.encrypt_block(&block), budget);
 
-    // --- AES per block through the software bitsliced engine ---
-    // Pinned to the best *sliced* tier (never AES-NI): this row tracks
-    // the constant-time software path. One pass encrypts a full batch;
-    // report the per-block amortized cost.
-    let sliced_tier = bitslice::best_sliced();
+    // --- AES per block through the portable bitsliced engine ---
+    // Pinned to the portable tier (never AES-NI): this row tracks the
+    // constant-time software path every host without AES-NI runs. One
+    // pass encrypts a full batch; report the per-block amortized cost.
+    let sliced_tier = Tier::Sliced2;
     assert!(
         bitslice::set_force_tier(Some(sliced_tier)),
-        "best_sliced() must be supported"
+        "the portable tier is always supported"
     );
-    let mut sliced_batch = [[0x42u8; 16]; 32];
+    let cipher = Aes128::new(&key);
+    let mut sliced_batch = [[0x42u8; 16]; bitslice::MAX_BATCH];
     let aes_bitsliced_batch_ns = measure_ns_budget(
         || {
-            ttable.encrypt_blocks(&mut sliced_batch);
+            cipher.encrypt_blocks(&mut sliced_batch);
             sliced_batch[0][0]
         },
         budget,
@@ -359,16 +366,6 @@ fn main() {
         },
         budget,
     );
-    set_force_ttable(true);
-    let mut ttable_stream = CtrStream::new(Aes128::new(&key), 99);
-    let ks_ttable_ns = measure_ns_budget(
-        || {
-            ttable_stream.keystream_into(&mut buf);
-            buf[0][0]
-        },
-        budget,
-    );
-    set_force_ttable(false);
     // Auto-detected best tier: what production streams actually use
     // (AES-NI where the host has it, the sliced path elsewhere).
     let mut wide_stream = CtrStream::new(Aes128::new(&key), 99);
@@ -405,9 +402,9 @@ fn main() {
     let q_heap_ns = measure_ns_budget(queue_churn_binaryheap, budget);
     let q_ours_ns = measure_ns_budget(queue_churn_ours, budget);
 
-    // --- end-to-end Figure 4 sweep A/B/C ---
+    // --- end-to-end Figure 4 sweep A/B ---
     eprintln!(
-        "# hotpath: fig4 sweep A/B/C (n={}, seed={})",
+        "# hotpath: fig4 sweep A/B (n={}, seed={})",
         opts.instructions, opts.seed
     );
     set_force_scalar(true);
@@ -415,21 +412,12 @@ fn main() {
     let rows_scalar = fig4(opts.instructions, opts.seed);
     let fig4_scalar_ms = t0.elapsed().as_secs_f64() * 1e3;
     set_force_scalar(false);
-    set_force_ttable(true);
-    let t0 = Instant::now();
-    let rows_ttable = fig4(opts.instructions, opts.seed);
-    let fig4_ttable_ms = t0.elapsed().as_secs_f64() * 1e3;
-    set_force_ttable(false);
     let t0 = Instant::now();
     let rows_wide = fig4(opts.instructions, opts.seed);
     let fig4_wide_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    if !rows_identical(&rows_scalar, &rows_ttable) {
-        eprintln!("FAIL: fig4 results differ between scalar and T-table AES");
-        std::process::exit(1);
-    }
-    if !rows_identical(&rows_ttable, &rows_wide) {
-        eprintln!("FAIL: fig4 results differ between T-table and wide-block AES");
+    if !rows_identical(&rows_scalar, &rows_wide) {
+        eprintln!("FAIL: fig4 results differ between scalar and wide-block AES");
         std::process::exit(1);
     }
     let avg = fig4_average(&rows_wide);
@@ -484,7 +472,7 @@ fn main() {
     let tap_overhead_pct = 100.0 * (tap_ms - plain_ms) / plain_ms;
 
     let json = JsonObject::new()
-        .string("schema", "obfusmem.bench_hotpath.v3")
+        .string("schema", "obfusmem.bench_hotpath.v4")
         .string("mode", if opts.quick { "quick" } else { "full" })
         .u64("instructions", opts.instructions)
         .u64("seed", opts.seed)
@@ -492,11 +480,8 @@ fn main() {
         .string("bitsliced_tier", sliced_tier.name())
         .string("wide_tier", bitslice::detect_best().name())
         .f64("aes_block_scalar_ns", round3(aes_scalar_ns))
-        .f64("aes_block_ttable_ns", round3(aes_ttable_ns))
         .f64("aes_block_bitsliced_ns", round3(aes_bitsliced_ns))
-        .f64("aes_block_speedup", round3(aes_scalar_ns / aes_ttable_ns))
         .f64("keystream_scalar_gbps", round3(ks_bytes / ks_scalar_ns))
-        .f64("keystream_ttable_gbps", round3(ks_bytes / ks_ttable_ns))
         .f64(
             "keystream_bitsliced_gbps",
             round3(ks_bytes / ks_bitsliced_ns),
@@ -510,7 +495,6 @@ fn main() {
         .f64("event_queue_calendar_ns", round3(q_ours_ns))
         .f64("event_queue_speedup", round3(q_heap_ns / q_ours_ns))
         .f64("fig4_scalar_ms", round3(fig4_scalar_ms))
-        .f64("fig4_ttable_ms", round3(fig4_ttable_ms))
         .f64("fig4_wide_ms", round3(fig4_wide_ms))
         .f64("fig4_speedup", round3(fig4_scalar_ms / fig4_wide_ms))
         .u64("fig4_rows_identical", 1)
@@ -531,20 +515,16 @@ fn main() {
     });
 
     println!(
-        "divergence gate              pass (FIPS-197 + {random_blocks} random blocks x3 paths + fig4 A/B/C)"
+        "divergence gate              pass (FIPS-197 + {random_blocks} random blocks per tier vs scalar + fig4 A/B)"
     );
     println!(
-        "aes encrypt_block            scalar {aes_scalar_ns:8.1} ns   ttable {aes_ttable_ns:8.1} ns   {:.2}x",
-        aes_scalar_ns / aes_ttable_ns
-    );
-    println!(
-        "aes per block, {:<12} sliced {aes_bitsliced_ns:8.1} ns   vs ttable        {:.2}x",
+        "aes per block                scalar {aes_scalar_ns:8.1} ns   {:<6} {aes_bitsliced_ns:8.1} ns   {:.2}x",
         sliced_tier.name(),
-        aes_ttable_ns / aes_bitsliced_ns
+        aes_scalar_ns / aes_bitsliced_ns
     );
     println!(
-        "ctr keystream (1 KiB)        ttable {:8.3} GB/s  sliced {:8.3} GB/s  wide[{}] {:.3} GB/s",
-        ks_bytes / ks_ttable_ns,
+        "ctr keystream (1 KiB)        scalar {:8.3} GB/s  sliced {:8.3} GB/s  wide[{}] {:.3} GB/s",
+        ks_bytes / ks_scalar_ns,
         ks_bytes / ks_bitsliced_ns,
         bitslice::detect_best().name(),
         ks_bytes / ks_wide_ns,
@@ -576,16 +556,8 @@ fn main() {
         let max_drop = if opts.quick { 0.50 } else { 0.10 };
         let metrics = [
             GateMetric {
-                key: "aes_block_speedup",
-                current: aes_scalar_ns / aes_ttable_ns,
-            },
-            GateMetric {
                 key: "keystream_speedup",
                 current: ks_scalar_ns / ks_wide_ns,
-            },
-            GateMetric {
-                key: "keystream_ttable_gbps",
-                current: ks_bytes / ks_ttable_ns,
             },
             GateMetric {
                 key: "keystream_bitsliced_gbps",

@@ -210,6 +210,21 @@ mod tests {
     }
 
     #[test]
+    fn rekey_derives_aes_of_the_epoch_under_the_old_key() {
+        let old_key = [0x9C; 16];
+        let mut s = ChannelSession::new(old_key, 3);
+        let epoch = 0x0102_0304_0506_0708u64;
+        s.rekey(epoch);
+        let mut block = [0u8; 16];
+        block[..8].copy_from_slice(&epoch.to_le_bytes());
+        block[8..].copy_from_slice(&epoch.to_le_bytes());
+        let expected = Aes128::new_scalar(&old_key).encrypt_block(&block);
+        assert_eq!(s.key, expected);
+        assert!(s.same_key_as(&ChannelSession::new(expected, epoch)));
+        assert_eq!(s.stream().counter(), 0);
+    }
+
+    #[test]
     fn ecb_round_trips() {
         let s = ChannelSession::new([3; 16], 0);
         let header = [0xAB; 16];

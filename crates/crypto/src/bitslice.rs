@@ -1,136 +1,85 @@
-//! Constant-time bitsliced wide-block AES-128 engine.
+//! Constant-time wide-block AES-128 engine: a portable bitsliced kernel
+//! plus AES-NI.
 //!
-//! The scalar and T-table paths in [`crate::aes`] process one 16-byte block
-//! at a time; the T-table path additionally indexes tables with key-dependent
-//! bytes (a cache-timing side channel the paper's threat model cares about,
-//! since the memory encryption engine sits next to an attacker-observable
-//! bus). This module implements the classic `aes_ct64` bit-orthogonal layout:
-//! the 128 bits of four AES blocks are transposed into eight 64-bit
-//! *bit-plane* registers, the S-box becomes a 113-gate boolean circuit
-//! (Boyar–Peralta), and ShiftRows/MixColumns become mask-and-shift
-//! permutations. Every executed instruction sequence is independent of both
-//! key and data: the path is constant-time by construction.
+//! The scalar oracle in [`crate::aes`] processes one 16-byte block at a time
+//! through S-box lookups. This module is the fast path every
+//! [`Aes128`](crate::aes::Aes128) encryption takes by default, in one of
+//! two tiers picked once by CPUID:
 //!
-//! Four blocks per 64-bit register is not enough to beat the T-tables on a
-//! superscalar core, so the kernel is generic over a lane width `W`: a
-//! [`L<W>`] value is `W` parallel copies of the 64-bit bit-plane register,
-//! giving `4 * W` blocks per pass. `W = 2` is the portable baseline (8
-//! counter blocks per pass, plain u64 arithmetic); `W = 4` and `W = 8` are
-//! compiled under `#[target_feature]` for AVX2/AVX-512 so LLVM lowers the
-//! same circuit onto 256/512-bit vectors (16/32 blocks per pass). On parts
-//! with AES-NI a fourth tier runs an 8-deep interleaved `AESENC` pipeline —
-//! also constant-time, in hardware. Runtime dispatch picks the best
-//! supported tier; [`set_force_tier`] pins one for benchmarking and
-//! differential testing.
+//! * [`Tier::HwAes`]: an 8-deep interleaved `AESENC` pipeline, constant-time
+//!   in hardware.
+//! * [`Tier::Sliced2`]: the classic `aes_ct64` bit-orthogonal layout,
+//!   everywhere else. The 128 bits of four AES blocks are transposed into
+//!   eight 64-bit *bit-plane* registers, the S-box becomes a 113-gate
+//!   boolean circuit (Boyar–Peralta), and ShiftRows/MixColumns become
+//!   mask-and-shift permutations. Each plane is held as `W = 2` parallel
+//!   registers (`L`), so one pass encrypts eight blocks. Every executed
+//!   instruction sequence is independent of both key and data: the path is
+//!   constant-time by construction, which matters because the memory
+//!   encryption engine sits next to an attacker-observable bus.
 //!
-//! Counter-mode blocks never materialize IV bytes: the nonce contributes two
-//! constant little-endian words and the big-endian counter contributes two
-//! byte-swapped words, which are packed straight into the bit-plane registers
-//! ([`pack_ctr`]). Round keys are pre-transposed once per key schedule into
-//! [`SlicedKeys`] — packing is a GF(2)-linear bit permutation, so
-//! `pack(state) ^ pack(rk)` equals `pack(state ^ rk)` and AddRoundKey is
-//! eight XORs per round.
+//! [`set_force_tier`] pins a tier process-wide for benchmarking; tests call
+//! `encrypt_blocks_on` / `ctr_blocks_on` with an explicit tier instead.
+//!
+//! Counter-mode blocks never materialize IV bytes on the sliced tier: the
+//! nonce contributes two constant little-endian words and the big-endian
+//! counter contributes two byte-swapped words, which are packed straight
+//! into the bit-plane registers (`pack_ctr`). Round keys are pre-transposed
+//! once per key schedule into `SlicedKeys` — packing is a GF(2)-linear bit
+//! permutation, so `pack(state) ^ pack(rk)` equals `pack(state ^ rk)` and
+//! AddRoundKey is eight XORs per round.
 
 use crate::aes::Block;
 use std::ops::{BitAnd, BitOr, BitXor, Not, Shl, Shr};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// Largest batch any tier consumes in one pass (AVX-512, `W = 8`).
-pub const MAX_BATCH: usize = 32;
+/// Parallel 64-bit registers per bit plane in the portable kernel.
+const W: usize = 2;
+
+/// Blocks either tier consumes in one pass (four per bit-plane register).
+pub const MAX_BATCH: usize = 4 * W;
 
 // ---------------------------------------------------------------------------
 // Lane: W parallel 64-bit bit-plane registers.
 // ---------------------------------------------------------------------------
 
-/// A lane is `W` parallel copies of one 64-bit bit-plane register. The
-/// round primitives are generic over this trait; the portable tier backs it
-/// with plain `[u64; W]` arithmetic and the AVX2/AVX-512 tiers with
-/// explicit vector intrinsics (LLVM fuses the boolean circuit into
-/// `vpternlogq` on AVX-512).
+/// `W` parallel copies of one 64-bit bit-plane register.
 ///
-/// Every method must be branch-free and element-wise: the constant-time
+/// Every operation is branch-free and element-wise: the constant-time
 /// argument for the engine rests on lanes never inspecting their contents.
-trait Lane:
-    Copy
-    + BitXor<Output = Self>
-    + BitAnd<Output = Self>
-    + BitOr<Output = Self>
-    + Not<Output = Self>
-    + Shl<u32, Output = Self>
-    + Shr<u32, Output = Self>
-{
-    /// Number of 64-bit elements (the batch covers `4 * WIDTH` blocks).
-    const WIDTH: usize;
-    fn splat(v: u64) -> Self;
-    fn zero() -> Self;
-    /// Load `WIDTH` elements from `w` (callers pass exactly `WIDTH`).
-    fn from_words(w: &[u64]) -> Self;
-    /// Store `WIDTH` elements into `out` (callers pass exactly `WIDTH`).
-    fn to_words(self, out: &mut [u64]);
-    /// Rotate each 64-bit element right by 16 (moves every state row down
-    /// one row position in the bit-plane layout).
-    fn rotr16(self) -> Self;
-    /// Rotate each 64-bit element right by 32 (two row positions).
-    fn rotr32(self) -> Self;
-
-    /// ShiftRows on one bit-plane register: each 64-bit element is 4 rows
-    /// × 16 bits, each row 4 column nibbles; row `r` rotates left by `r`
-    /// columns. The default mask-and-shift rendering costs ~19 ops; wide
-    /// tiers override it with byte-permute instructions.
-    #[inline(always)]
-    fn shift_rows_reg(self) -> Self {
-        (self & Self::splat(0x0000_0000_0000_FFFF))
-            | ((self & Self::splat(0x0000_0000_FFF0_0000)) >> 4)
-            | ((self & Self::splat(0x0000_0000_000F_0000)) << 12)
-            | ((self & Self::splat(0x0000_FF00_0000_0000)) >> 8)
-            | ((self & Self::splat(0x0000_00FF_0000_0000)) << 8)
-            | ((self & Self::splat(0xF000_0000_0000_0000)) >> 12)
-            | ((self & Self::splat(0x0FFF_0000_0000_0000)) << 4)
-    }
-}
-
-/// Portable lane: `W` parallel u64 bit-plane registers as a plain array.
 #[derive(Clone, Copy)]
-struct L<const W: usize>([u64; W]);
+struct L([u64; W]);
 
-impl<const W: usize> Lane for L<W> {
-    const WIDTH: usize = W;
-
+impl L {
     #[inline(always)]
     fn splat(v: u64) -> Self {
         L([v; W])
     }
 
+    /// Rotate each 64-bit element right by `n`: 16 moves every state row
+    /// down one row position in the bit-plane layout, 32 moves it two.
     #[inline(always)]
-    fn zero() -> Self {
-        L([0; W])
+    fn rotr(self, n: u32) -> Self {
+        L(self.0.map(|v| v.rotate_right(n)))
     }
 
+    /// ShiftRows on one bit-plane register: each 64-bit element is 4 rows
+    /// × 16 bits, each row 4 column nibbles; row `r` rotates left by `r`
+    /// columns.
     #[inline(always)]
-    fn from_words(w: &[u64]) -> Self {
-        let mut out = [0u64; W];
-        out.copy_from_slice(&w[..W]);
-        L(out)
-    }
-
-    #[inline(always)]
-    fn to_words(self, out: &mut [u64]) {
-        out[..W].copy_from_slice(&self.0);
-    }
-
-    #[inline(always)]
-    fn rotr16(self) -> Self {
-        L(self.0.map(|v| v.rotate_right(16)))
-    }
-
-    #[inline(always)]
-    fn rotr32(self) -> Self {
-        L(self.0.map(|v| v.rotate_right(32)))
+    fn shift_rows_reg(self) -> Self {
+        (self & L::splat(0x0000_0000_0000_FFFF))
+            | ((self & L::splat(0x0000_0000_FFF0_0000)) >> 4)
+            | ((self & L::splat(0x0000_0000_000F_0000)) << 12)
+            | ((self & L::splat(0x0000_FF00_0000_0000)) >> 8)
+            | ((self & L::splat(0x0000_00FF_0000_0000)) << 8)
+            | ((self & L::splat(0xF000_0000_0000_0000)) >> 12)
+            | ((self & L::splat(0x0FFF_0000_0000_0000)) << 4)
     }
 }
 
-impl<const W: usize> BitXor for L<W> {
+impl BitXor for L {
     type Output = Self;
     #[inline(always)]
     fn bitxor(self, rhs: Self) -> Self {
@@ -142,7 +91,7 @@ impl<const W: usize> BitXor for L<W> {
     }
 }
 
-impl<const W: usize> BitAnd for L<W> {
+impl BitAnd for L {
     type Output = Self;
     #[inline(always)]
     fn bitand(self, rhs: Self) -> Self {
@@ -154,7 +103,7 @@ impl<const W: usize> BitAnd for L<W> {
     }
 }
 
-impl<const W: usize> BitOr for L<W> {
+impl BitOr for L {
     type Output = Self;
     #[inline(always)]
     fn bitor(self, rhs: Self) -> Self {
@@ -166,7 +115,7 @@ impl<const W: usize> BitOr for L<W> {
     }
 }
 
-impl<const W: usize> Not for L<W> {
+impl Not for L {
     type Output = Self;
     #[inline(always)]
     fn not(self) -> Self {
@@ -174,7 +123,7 @@ impl<const W: usize> Not for L<W> {
     }
 }
 
-impl<const W: usize> Shl<u32> for L<W> {
+impl Shl<u32> for L {
     type Output = Self;
     #[inline(always)]
     fn shl(self, s: u32) -> Self {
@@ -182,239 +131,11 @@ impl<const W: usize> Shl<u32> for L<W> {
     }
 }
 
-impl<const W: usize> Shr<u32> for L<W> {
+impl Shr<u32> for L {
     type Output = Self;
     #[inline(always)]
     fn shr(self, s: u32) -> Self {
         L(self.0.map(|v| v >> s))
-    }
-}
-
-/// Vector-backed lanes. LLVM refuses to auto-vectorize the sliced circuit
-/// from `[u64; W]` arrays (measured: the AVX2/AVX-512 monomorphizations run
-/// at portable speed), so the wide tiers spell the element-wise ops as
-/// intrinsics. Everything is `#[inline(always)]` so the whole circuit
-/// collapses into the one `#[target_feature]` wrapper per tier and is
-/// code-generated with that tier's ISA.
-///
-/// Safety: constructing or operating on these types executes AVX2/AVX-512
-/// instructions; the dispatcher only reaches the wrappers after
-/// `is_x86_feature_detected!` confirms support.
-#[cfg(target_arch = "x86_64")]
-mod vlane {
-    use super::Lane;
-    use std::arch::x86_64::*;
-    use std::ops::{BitAnd, BitOr, BitXor, Not, Shl, Shr};
-
-    /// Four bit-plane registers in one AVX2 vector (16 blocks per pass).
-    #[derive(Clone, Copy)]
-    pub(super) struct L4(__m256i);
-
-    impl BitXor for L4 {
-        type Output = Self;
-        #[inline(always)]
-        fn bitxor(self, rhs: Self) -> Self {
-            unsafe { L4(_mm256_xor_si256(self.0, rhs.0)) }
-        }
-    }
-
-    impl BitAnd for L4 {
-        type Output = Self;
-        #[inline(always)]
-        fn bitand(self, rhs: Self) -> Self {
-            unsafe { L4(_mm256_and_si256(self.0, rhs.0)) }
-        }
-    }
-
-    impl BitOr for L4 {
-        type Output = Self;
-        #[inline(always)]
-        fn bitor(self, rhs: Self) -> Self {
-            unsafe { L4(_mm256_or_si256(self.0, rhs.0)) }
-        }
-    }
-
-    impl Not for L4 {
-        type Output = Self;
-        #[inline(always)]
-        fn not(self) -> Self {
-            unsafe { L4(_mm256_xor_si256(self.0, _mm256_set1_epi64x(-1))) }
-        }
-    }
-
-    impl Shl<u32> for L4 {
-        type Output = Self;
-        #[inline(always)]
-        fn shl(self, s: u32) -> Self {
-            unsafe { L4(_mm256_sll_epi64(self.0, _mm_cvtsi32_si128(s as i32))) }
-        }
-    }
-
-    impl Shr<u32> for L4 {
-        type Output = Self;
-        #[inline(always)]
-        fn shr(self, s: u32) -> Self {
-            unsafe { L4(_mm256_srl_epi64(self.0, _mm_cvtsi32_si128(s as i32))) }
-        }
-    }
-
-    impl Lane for L4 {
-        const WIDTH: usize = 4;
-
-        #[inline(always)]
-        fn splat(v: u64) -> Self {
-            unsafe { L4(_mm256_set1_epi64x(v as i64)) }
-        }
-
-        #[inline(always)]
-        fn zero() -> Self {
-            unsafe { L4(_mm256_setzero_si256()) }
-        }
-
-        #[inline(always)]
-        fn from_words(w: &[u64]) -> Self {
-            debug_assert!(w.len() >= 4);
-            unsafe { L4(_mm256_loadu_si256(w.as_ptr().cast())) }
-        }
-
-        #[inline(always)]
-        fn to_words(self, out: &mut [u64]) {
-            debug_assert!(out.len() >= 4);
-            unsafe { _mm256_storeu_si256(out.as_mut_ptr().cast(), self.0) }
-        }
-
-        #[inline(always)]
-        fn rotr16(self) -> Self {
-            (self >> 16) | (self << 48)
-        }
-
-        #[inline(always)]
-        fn rotr32(self) -> Self {
-            // Swapping the 32-bit halves of each 64-bit element is a
-            // rotate by 32; one shuffle beats two shifts and an OR.
-            unsafe { L4(_mm256_shuffle_epi32(self.0, 0b10_11_00_01)) }
-        }
-    }
-
-    /// Eight bit-plane registers in one AVX-512 vector (32 blocks per
-    /// pass).
-    #[derive(Clone, Copy)]
-    pub(super) struct L8(__m512i);
-
-    impl BitXor for L8 {
-        type Output = Self;
-        #[inline(always)]
-        fn bitxor(self, rhs: Self) -> Self {
-            unsafe { L8(_mm512_xor_si512(self.0, rhs.0)) }
-        }
-    }
-
-    impl BitAnd for L8 {
-        type Output = Self;
-        #[inline(always)]
-        fn bitand(self, rhs: Self) -> Self {
-            unsafe { L8(_mm512_and_si512(self.0, rhs.0)) }
-        }
-    }
-
-    impl BitOr for L8 {
-        type Output = Self;
-        #[inline(always)]
-        fn bitor(self, rhs: Self) -> Self {
-            unsafe { L8(_mm512_or_si512(self.0, rhs.0)) }
-        }
-    }
-
-    impl Not for L8 {
-        type Output = Self;
-        #[inline(always)]
-        fn not(self) -> Self {
-            unsafe { L8(_mm512_xor_si512(self.0, _mm512_set1_epi64(-1))) }
-        }
-    }
-
-    impl Shl<u32> for L8 {
-        type Output = Self;
-        #[inline(always)]
-        fn shl(self, s: u32) -> Self {
-            unsafe { L8(_mm512_sll_epi64(self.0, _mm_cvtsi32_si128(s as i32))) }
-        }
-    }
-
-    impl Shr<u32> for L8 {
-        type Output = Self;
-        #[inline(always)]
-        fn shr(self, s: u32) -> Self {
-            unsafe { L8(_mm512_srl_epi64(self.0, _mm_cvtsi32_si128(s as i32))) }
-        }
-    }
-
-    impl Lane for L8 {
-        const WIDTH: usize = 8;
-
-        #[inline(always)]
-        fn splat(v: u64) -> Self {
-            unsafe { L8(_mm512_set1_epi64(v as i64)) }
-        }
-
-        #[inline(always)]
-        fn zero() -> Self {
-            unsafe { L8(_mm512_setzero_si512()) }
-        }
-
-        #[inline(always)]
-        fn from_words(w: &[u64]) -> Self {
-            debug_assert!(w.len() >= 8);
-            unsafe { L8(_mm512_loadu_si512(w.as_ptr().cast())) }
-        }
-
-        #[inline(always)]
-        fn to_words(self, out: &mut [u64]) {
-            debug_assert!(out.len() >= 8);
-            unsafe { _mm512_storeu_si512(out.as_mut_ptr().cast(), self.0) }
-        }
-
-        #[inline(always)]
-        fn rotr16(self) -> Self {
-            unsafe { L8(_mm512_ror_epi64::<16>(self.0)) }
-        }
-
-        #[inline(always)]
-        fn rotr32(self) -> Self {
-            unsafe { L8(_mm512_ror_epi64::<32>(self.0)) }
-        }
-
-        /// ShiftRows via `vpmultishiftqb` (AVX-512VBMI): every output byte
-        /// of the row-rotated register is an 8-bit field read at a fixed
-        /// bit offset from either the register itself or its
-        /// bytes-swapped-within-rows image, so the 19-op mask-and-shift
-        /// default collapses to 3 byte-permutes. This is the difference
-        /// between the sliced kernel being shift-port-bound and not.
-        ///
-        /// Output bytes 3 and 6 are the fields that wrap a 16-bit row
-        /// boundary; swapping the two bytes of each row first (`vpshufb`)
-        /// makes them contiguous, and the masked multishift merges them
-        /// into the other six bytes.
-        #[inline(always)]
-        fn shift_rows_reg(self) -> Self {
-            unsafe {
-                const Q0: i64 = 0x0607_0405_0203_0001u64 as i64;
-                const Q1: i64 = 0x0E0F_0C0D_0A0B_0809u64 as i64;
-                let swap = _mm512_set_epi64(Q1, Q0, Q1, Q0, Q1, Q0, Q1, Q0);
-                let u = _mm512_shuffle_epi8(self.0, swap);
-                // Per-byte bit offsets into `self` (bytes 0,1,2,4,5,7) and
-                // into `u` (bytes 3,6); unused slots are zero.
-                let ctrl_v = _mm512_set1_epi64(0x3400_2028_0014_0800u64 as i64);
-                let ctrl_u = _mm512_set1_epi64(0x0034_0000_1400_0000u64 as i64);
-                let direct = _mm512_multishift_epi64_epi8(ctrl_v, self.0);
-                L8(_mm512_mask_multishift_epi64_epi8(
-                    direct,
-                    0x4848_4848_4848_4848,
-                    ctrl_u,
-                    u,
-                ))
-            }
-        }
     }
 }
 
@@ -426,10 +147,10 @@ mod vlane {
 /// each lane element) into the two interleaved 64-bit halves of the
 /// byte-transposed layout.
 #[inline(always)]
-fn interleave_in<T: Lane>(x: [T; 4]) -> (T, T) {
-    let m16 = T::splat(0x0000_FFFF_0000_FFFF);
-    let m8 = T::splat(0x00FF_00FF_00FF_00FF);
-    let spread = |v: T| {
+fn interleave_in(x: [L; 4]) -> (L, L) {
+    let m16 = L::splat(0x0000_FFFF_0000_FFFF);
+    let m8 = L::splat(0x00FF_00FF_00FF_00FF);
+    let spread = |v: L| {
         let v = (v | (v << 16)) & m16;
         (v | (v << 8)) & m8
     };
@@ -443,12 +164,12 @@ fn interleave_in<T: Lane>(x: [T; 4]) -> (T, T) {
 /// Inverse of [`interleave_in`]: recover the four 32-bit words (zero-extended
 /// per lane element).
 #[inline(always)]
-fn interleave_out<T: Lane>(q0: T, q1: T) -> [T; 4] {
-    let m16 = T::splat(0x0000_FFFF_0000_FFFF);
-    let m8 = T::splat(0x00FF_00FF_00FF_00FF);
-    let lo16 = T::splat(0x0000_0000_0000_FFFF);
-    let hi16 = T::splat(0x0000_0000_FFFF_0000);
-    let squeeze = move |v: T| {
+fn interleave_out(q0: L, q1: L) -> [L; 4] {
+    let m16 = L::splat(0x0000_FFFF_0000_FFFF);
+    let m8 = L::splat(0x00FF_00FF_00FF_00FF);
+    let lo16 = L::splat(0x0000_0000_0000_FFFF);
+    let hi16 = L::splat(0x0000_0000_FFFF_0000);
+    let squeeze = move |v: L| {
         let v = (v | (v >> 8)) & m16;
         // Fold the 16-bit chunks at bits 0..16 and 32..48 into one 32-bit
         // word per element (the chunk at 32..48 lands at 16..32).
@@ -466,13 +187,13 @@ fn interleave_out<T: Lane>(q0: T, q1: T) -> [T; 4] {
 /// register `i` holds bytes of the four blocks interleaved; after, register
 /// `i` holds bit `i` of every state byte.
 #[inline(always)]
-fn ortho<T: Lane>(q: &mut [T; 8]) {
+fn ortho(q: &mut [L; 8]) {
     #[inline(always)]
-    fn swapn<T: Lane>(cl: u64, ch: u64, s: u32, q: &mut [T; 8], x: usize, y: usize) {
+    fn swapn(cl: u64, ch: u64, s: u32, q: &mut [L; 8], x: usize, y: usize) {
         let a = q[x];
         let b = q[y];
-        let cl = T::splat(cl);
-        let ch = T::splat(ch);
+        let cl = L::splat(cl);
+        let ch = L::splat(ch);
         q[x] = (a & cl) | ((b & cl) << s);
         q[y] = ((a & ch) >> s) | (b & ch);
     }
@@ -493,15 +214,15 @@ fn ortho<T: Lane>(q: &mut [T; 8]) {
     swapn(0x0F0F_0F0F_0F0F_0F0F, 0xF0F0_F0F0_F0F0_F0F0, 4, q, 3, 7);
 }
 
-/// Pack `4 * W` byte blocks into bit-plane registers. Block `4*j + p`
+/// Pack [`MAX_BATCH`] byte blocks into bit-plane registers. Block `4*j + p`
 /// (`j` = lane element, `p` = group position) lands in lane element `j`.
 #[inline(always)]
-fn pack_blocks<T: Lane>(blocks: &[Block]) -> [T; 8] {
-    debug_assert_eq!(blocks.len(), 4 * T::WIDTH);
-    let mut q = [T::zero(); 8];
+fn pack_blocks(blocks: &[Block]) -> [L; 8] {
+    debug_assert_eq!(blocks.len(), MAX_BATCH);
+    let mut q = [L::splat(0); 8];
     for p in 0..4 {
-        let mut x = [[0u64; 8]; 4];
-        for j in 0..T::WIDTH {
+        let mut x = [L::splat(0); 4];
+        for j in 0..W {
             let blk = &blocks[4 * j + p];
             for (k, xk) in x.iter_mut().enumerate() {
                 let w = u32::from_le_bytes([
@@ -510,15 +231,10 @@ fn pack_blocks<T: Lane>(blocks: &[Block]) -> [T; 8] {
                     blk[4 * k + 2],
                     blk[4 * k + 3],
                 ]);
-                xk[j] = w as u64;
+                xk.0[j] = w as u64;
             }
         }
-        let (a, b) = interleave_in([
-            T::from_words(&x[0]),
-            T::from_words(&x[1]),
-            T::from_words(&x[2]),
-            T::from_words(&x[3]),
-        ]);
+        let (a, b) = interleave_in(x);
         q[p] = a;
         q[p + 4] = b;
     }
@@ -526,25 +242,25 @@ fn pack_blocks<T: Lane>(blocks: &[Block]) -> [T; 8] {
     q
 }
 
-/// Pack the CTR-mode input blocks for counters `counter .. counter + 4*W`
-/// directly into bit-plane registers, without materializing IV bytes. The
-/// IV layout matches `CtrStream`: 8 bytes big-endian nonce, then 8 bytes
-/// big-endian counter — as little-endian words that is two constant
+/// Pack the CTR-mode input blocks for counters `counter .. counter +
+/// MAX_BATCH` directly into bit-plane registers, without materializing IV
+/// bytes. The IV layout matches `CtrStream`: 8 bytes big-endian nonce, then
+/// 8 bytes big-endian counter — as little-endian words that is two constant
 /// (splat) words from the nonce and two byte-swapped counter halves.
 #[inline(always)]
-fn pack_ctr<T: Lane>(nonce: u64, counter: u64) -> [T; 8] {
-    let w0 = T::splat(((nonce >> 32) as u32).swap_bytes() as u64);
-    let w1 = T::splat((nonce as u32).swap_bytes() as u64);
-    let mut q = [T::zero(); 8];
+fn pack_ctr(nonce: u64, counter: u64) -> [L; 8] {
+    let w0 = L::splat(((nonce >> 32) as u32).swap_bytes() as u64);
+    let w1 = L::splat((nonce as u32).swap_bytes() as u64);
+    let mut q = [L::splat(0); 8];
     for p in 0..4 {
-        let mut w2 = [0u64; 8];
-        let mut w3 = [0u64; 8];
-        for j in 0..T::WIDTH {
+        let mut w2 = L::splat(0);
+        let mut w3 = L::splat(0);
+        for j in 0..W {
             let c = counter.wrapping_add((4 * j + p) as u64);
-            w2[j] = ((c >> 32) as u32).swap_bytes() as u64;
-            w3[j] = (c as u32).swap_bytes() as u64;
+            w2.0[j] = ((c >> 32) as u32).swap_bytes() as u64;
+            w3.0[j] = (c as u32).swap_bytes() as u64;
         }
-        let (a, b) = interleave_in([w0, w1, T::from_words(&w2), T::from_words(&w3)]);
+        let (a, b) = interleave_in([w0, w1, w2, w3]);
         q[p] = a;
         q[p + 4] = b;
     }
@@ -552,22 +268,18 @@ fn pack_ctr<T: Lane>(nonce: u64, counter: u64) -> [T; 8] {
     q
 }
 
-/// Unpack bit-plane registers back into `4 * W` byte blocks.
+/// Unpack bit-plane registers back into [`MAX_BATCH`] byte blocks.
 #[inline(always)]
-fn unpack_blocks<T: Lane>(q: &[T; 8], out: &mut [Block]) {
-    debug_assert_eq!(out.len(), 4 * T::WIDTH);
+fn unpack_blocks(q: &[L; 8], out: &mut [Block]) {
+    debug_assert_eq!(out.len(), MAX_BATCH);
     let mut q = *q;
     ortho(&mut q);
     for p in 0..4 {
         let x = interleave_out(q[p], q[p + 4]);
-        let mut words = [[0u64; 8]; 4];
-        for (xk, wk) in x.iter().zip(words.iter_mut()) {
-            xk.to_words(wk);
-        }
-        for j in 0..T::WIDTH {
+        for j in 0..W {
             let blk = &mut out[4 * j + p];
-            for (k, wk) in words.iter().enumerate() {
-                blk[4 * k..4 * k + 4].copy_from_slice(&(wk[j] as u32).to_le_bytes());
+            for (k, xk) in x.iter().enumerate() {
+                blk[4 * k..4 * k + 4].copy_from_slice(&(xk.0[j] as u32).to_le_bytes());
             }
         }
     }
@@ -583,7 +295,7 @@ fn unpack_blocks<T: Lane>(q: &[T; 8], out: &mut [Block]) {
 /// convention follows BearSSL's `aes_ct64`: `x0 = q[7]` is the
 /// most-significant bit plane.
 #[inline(always)]
-fn sbox<T: Lane>(q: &mut [T; 8]) {
+fn sbox(q: &mut [L; 8]) {
     let x0 = q[7];
     let x1 = q[6];
     let x2 = q[5];
@@ -724,10 +436,9 @@ fn sbox<T: Lane>(q: &mut [T; 8]) {
     q[0] = s7;
 }
 
-/// ShiftRows on every bit plane; the per-register permutation lives on the
-/// [`Lane`] trait so wide tiers can override it with byte-permute hardware.
+/// ShiftRows on every bit plane.
 #[inline(always)]
-fn shift_rows<T: Lane>(q: &mut [T; 8]) {
+fn shift_rows(q: &mut [L; 8]) {
     for x in q.iter_mut() {
         *x = x.shift_rows_reg();
     }
@@ -737,7 +448,7 @@ fn shift_rows<T: Lane>(q: &mut [T; 8]) {
 /// row; the GF(2^8) doubling folds the reduction polynomial (0x1b → planes
 /// 0, 1, 3, 4) as XORs of plane 7.
 #[inline(always)]
-fn mix_columns<T: Lane>(q: &mut [T; 8]) {
+fn mix_columns(q: &mut [L; 8]) {
     let q0 = q[0];
     let q1 = q[1];
     let q2 = q[2];
@@ -746,35 +457,35 @@ fn mix_columns<T: Lane>(q: &mut [T; 8]) {
     let q5 = q[5];
     let q6 = q[6];
     let q7 = q[7];
-    let r0 = q0.rotr16();
-    let r1 = q1.rotr16();
-    let r2 = q2.rotr16();
-    let r3 = q3.rotr16();
-    let r4 = q4.rotr16();
-    let r5 = q5.rotr16();
-    let r6 = q6.rotr16();
-    let r7 = q7.rotr16();
+    let r0 = q0.rotr(16);
+    let r1 = q1.rotr(16);
+    let r2 = q2.rotr(16);
+    let r3 = q3.rotr(16);
+    let r4 = q4.rotr(16);
+    let r5 = q5.rotr(16);
+    let r6 = q6.rotr(16);
+    let r7 = q7.rotr(16);
 
-    q[0] = q7 ^ r7 ^ r0 ^ (q0 ^ r0).rotr32();
-    q[1] = q0 ^ r0 ^ q7 ^ r7 ^ r1 ^ (q1 ^ r1).rotr32();
-    q[2] = q1 ^ r1 ^ r2 ^ (q2 ^ r2).rotr32();
-    q[3] = q2 ^ r2 ^ q7 ^ r7 ^ r3 ^ (q3 ^ r3).rotr32();
-    q[4] = q3 ^ r3 ^ q7 ^ r7 ^ r4 ^ (q4 ^ r4).rotr32();
-    q[5] = q4 ^ r4 ^ r5 ^ (q5 ^ r5).rotr32();
-    q[6] = q5 ^ r5 ^ r6 ^ (q6 ^ r6).rotr32();
-    q[7] = q6 ^ r6 ^ r7 ^ (q7 ^ r7).rotr32();
+    q[0] = q7 ^ r7 ^ r0 ^ (q0 ^ r0).rotr(32);
+    q[1] = q0 ^ r0 ^ q7 ^ r7 ^ r1 ^ (q1 ^ r1).rotr(32);
+    q[2] = q1 ^ r1 ^ r2 ^ (q2 ^ r2).rotr(32);
+    q[3] = q2 ^ r2 ^ q7 ^ r7 ^ r3 ^ (q3 ^ r3).rotr(32);
+    q[4] = q3 ^ r3 ^ q7 ^ r7 ^ r4 ^ (q4 ^ r4).rotr(32);
+    q[5] = q4 ^ r4 ^ r5 ^ (q5 ^ r5).rotr(32);
+    q[6] = q5 ^ r5 ^ r6 ^ (q6 ^ r6).rotr(32);
+    q[7] = q6 ^ r6 ^ r7 ^ (q7 ^ r7).rotr(32);
 }
 
 #[inline(always)]
-fn add_round_key<T: Lane>(q: &mut [T; 8], rk: &[u64; 8]) {
+fn add_round_key(q: &mut [L; 8], rk: &[u64; 8]) {
     for (qi, k) in q.iter_mut().zip(rk) {
-        *qi = *qi ^ T::splat(*k);
+        *qi = *qi ^ L::splat(*k);
     }
 }
 
 /// Full AES-128 encryption on a packed state.
 #[inline(always)]
-fn encrypt_sliced<T: Lane>(rk: &[[u64; 8]; 11], q: &mut [T; 8]) {
+fn encrypt_sliced(rk: &[[u64; 8]; 11], q: &mut [L; 8]) {
     add_round_key(q, &rk[0]);
     for k in &rk[1..10] {
         sbox(q);
@@ -794,8 +505,9 @@ fn encrypt_sliced<T: Lane>(rk: &[[u64; 8]; 11], q: &mut [T; 8]) {
 /// Round keys transposed into the bit-plane layout, computed once per key
 /// schedule. Each round key is replicated across the four group positions
 /// and packed exactly like a block batch; because the packing permutation is
-/// GF(2)-linear, XOR-ing these against a packed state is AddRoundKey.
-/// Lane widths beyond one reuse the same 8 words via splat.
+/// GF(2)-linear, XOR-ing these against a packed state is AddRoundKey. Every
+/// lane element holds the same 8 words, so one element is stored and
+/// splatted back per round.
 #[derive(Clone, Copy)]
 pub(crate) struct SlicedKeys(pub(crate) [[u64; 8]; 11]);
 
@@ -803,9 +515,9 @@ impl SlicedKeys {
     pub(crate) fn expand(round_keys: &[[u8; 16]; 11]) -> Self {
         let mut out = [[0u64; 8]; 11];
         for (dst, rk) in out.iter_mut().zip(round_keys) {
-            let w: [L<1>; 4] = std::array::from_fn(|i| {
+            let w: [L; 4] = std::array::from_fn(|i| {
                 let bytes = [rk[4 * i], rk[4 * i + 1], rk[4 * i + 2], rk[4 * i + 3]];
-                L([u32::from_le_bytes(bytes) as u64])
+                L::splat(u32::from_le_bytes(bytes) as u64)
             });
             let (a, b) = interleave_in(w);
             let mut q = [a, a, a, a, b, b, b, b];
@@ -819,68 +531,12 @@ impl SlicedKeys {
 }
 
 // ---------------------------------------------------------------------------
-// Batch kernels (monomorphized per lane width).
+// Hardware tier.
 // ---------------------------------------------------------------------------
-
-#[inline(always)]
-fn encrypt_batch_kernel<T: Lane>(keys: &SlicedKeys, blocks: &mut [Block]) {
-    let mut q = pack_blocks::<T>(blocks);
-    encrypt_sliced::<T>(&keys.0, &mut q);
-    unpack_blocks::<T>(&q, blocks);
-}
-
-#[inline(always)]
-fn ctr_batch_kernel<T: Lane>(keys: &SlicedKeys, nonce: u64, counter: u64, out: &mut [Block]) {
-    let mut q = pack_ctr::<T>(nonce, counter);
-    encrypt_sliced::<T>(&keys.0, &mut q);
-    unpack_blocks::<T>(&q, out);
-}
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{ctr_batch_kernel, encrypt_batch_kernel, Block, SlicedKeys};
-
-    // The generic kernels are #[inline(always)], so each wrapper re-compiles
-    // the whole circuit under its own target features and LLVM vectorizes
-    // the [u64; W] lanes onto ymm/zmm registers.
-
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn encrypt_batch_avx2(keys: &SlicedKeys, blocks: &mut [Block]) {
-        encrypt_batch_kernel::<super::vlane::L4>(keys, blocks);
-    }
-
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn ctr_batch_avx2(
-        keys: &SlicedKeys,
-        nonce: u64,
-        counter: u64,
-        out: &mut [Block],
-    ) {
-        ctr_batch_kernel::<super::vlane::L4>(keys, nonce, counter, out);
-    }
-
-    /// # Safety
-    /// Caller must ensure AVX-512F, AVX-512BW, and AVX-512VBMI are available.
-    #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vbmi")]
-    pub(super) unsafe fn encrypt_batch_avx512(keys: &SlicedKeys, blocks: &mut [Block]) {
-        encrypt_batch_kernel::<super::vlane::L8>(keys, blocks);
-    }
-
-    /// # Safety
-    /// Caller must ensure AVX-512F, AVX-512BW, and AVX-512VBMI are available.
-    #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vbmi")]
-    pub(super) unsafe fn ctr_batch_avx512(
-        keys: &SlicedKeys,
-        nonce: u64,
-        counter: u64,
-        out: &mut [Block],
-    ) {
-        ctr_batch_kernel::<super::vlane::L8>(keys, nonce, counter, out);
-    }
+    use super::Block;
 
     /// 8-deep interleaved AES-NI pipeline over any number of blocks.
     /// Constant-time in hardware; the interleaving hides the ~4-cycle
@@ -933,32 +589,15 @@ pub enum Tier {
     /// Portable bitsliced kernel on `[u64; 2]` lanes: 8 blocks per pass.
     /// Always available, pure integer arithmetic.
     Sliced2,
-    /// Bitsliced kernel on `[u64; 4]` lanes under AVX2: 16 blocks per pass.
-    Sliced4,
-    /// Bitsliced kernel on `[u64; 8]` lanes under AVX-512F: 32 blocks per
-    /// pass.
-    Sliced8,
     /// Hardware AES-NI, 8-deep interleaved pipeline.
     HwAes,
 }
 
 impl Tier {
-    /// Natural batch size of this tier in blocks.
-    pub fn batch(self) -> usize {
-        match self {
-            Tier::Sliced2 => 8,
-            Tier::Sliced4 => 16,
-            Tier::Sliced8 => 32,
-            Tier::HwAes => 8,
-        }
-    }
-
     /// Stable short name (used in bench output).
     pub fn name(self) -> &'static str {
         match self {
             Tier::Sliced2 => "sliced2",
-            Tier::Sliced4 => "sliced4",
-            Tier::Sliced8 => "sliced8",
             Tier::HwAes => "hw-aes",
         }
     }
@@ -966,18 +605,14 @@ impl Tier {
     fn code(self) -> u8 {
         match self {
             Tier::Sliced2 => 1,
-            Tier::Sliced4 => 2,
-            Tier::Sliced8 => 3,
-            Tier::HwAes => 4,
+            Tier::HwAes => 2,
         }
     }
 
     fn from_code(c: u8) -> Option<Tier> {
         match c {
             1 => Some(Tier::Sliced2),
-            2 => Some(Tier::Sliced4),
-            3 => Some(Tier::Sliced8),
-            4 => Some(Tier::HwAes),
+            2 => Some(Tier::HwAes),
             _ => None,
         }
     }
@@ -985,46 +620,22 @@ impl Tier {
 
 /// Whether `tier` can run on this CPU.
 pub fn supported(tier: Tier) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match tier {
-            Tier::Sliced2 => true,
-            Tier::Sliced4 => std::arch::is_x86_feature_detected!("avx2"),
-            // The L8 ShiftRows uses `vpshufb` on 512-bit registers (BW) and
-            // `vpmultishiftqb` (VBMI); F-only machines fall back to Sliced4.
-            Tier::Sliced8 => {
-                std::arch::is_x86_feature_detected!("avx512f")
-                    && std::arch::is_x86_feature_detected!("avx512bw")
-                    && std::arch::is_x86_feature_detected!("avx512vbmi")
-            }
-            Tier::HwAes => {
-                std::arch::is_x86_feature_detected!("aes")
-                    && std::arch::is_x86_feature_detected!("sse2")
-            }
+    match tier {
+        Tier::Sliced2 => true,
+        #[cfg(target_arch = "x86_64")]
+        Tier::HwAes => {
+            std::arch::is_x86_feature_detected!("aes")
+                && std::arch::is_x86_feature_detected!("sse2")
         }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        matches!(tier, Tier::Sliced2)
+        #[cfg(not(target_arch = "x86_64"))]
+        Tier::HwAes => false,
     }
 }
 
-/// Best supported tier overall (hardware AES wins when present).
+/// Best supported tier (hardware AES wins when present).
 pub fn detect_best() -> Tier {
     if supported(Tier::HwAes) {
         Tier::HwAes
-    } else {
-        best_sliced()
-    }
-}
-
-/// Best supported *software bitsliced* tier (what the
-/// `keystream_bitsliced_gbps` bench row measures).
-pub fn best_sliced() -> Tier {
-    if supported(Tier::Sliced8) {
-        Tier::Sliced8
-    } else if supported(Tier::Sliced4) {
-        Tier::Sliced4
     } else {
         Tier::Sliced2
     }
@@ -1032,9 +643,11 @@ pub fn best_sliced() -> Tier {
 
 static FORCE_TIER: AtomicU8 = AtomicU8::new(0);
 
-/// Pin the wide engine to a specific tier (benchmarks, differential tests).
-/// Returns `false` and leaves the setting unchanged if the requested tier is
-/// not supported on this CPU. `None` restores automatic detection.
+/// Pin the wide engine to a specific tier process-wide (benchmarks only:
+/// every thread's next call switches, so tests pass a tier to
+/// `encrypt_blocks_on` / `ctr_blocks_on` instead). Returns `false` and
+/// leaves the setting unchanged if the requested tier is not supported on
+/// this CPU. `None` restores automatic detection.
 pub fn set_force_tier(tier: Option<Tier>) -> bool {
     match tier {
         Some(t) if !supported(t) => false,
@@ -1058,58 +671,68 @@ pub fn active_tier() -> Tier {
     *DETECTED.get_or_init(detect_best)
 }
 
-/// Run `f` over `blocks` in `batch`-sized passes; a trailing partial batch
-/// is padded through a scratch buffer so the kernel only ever sees full
-/// batches. Zero-length input is a no-op.
-#[inline]
-fn run_batched(blocks: &mut [Block], batch: usize, mut f: impl FnMut(&mut [Block])) {
-    debug_assert!(batch <= MAX_BATCH);
-    let mut chunks = blocks.chunks_exact_mut(batch);
+/// Encrypt an arbitrary number of blocks in place on the active tier.
+pub(crate) fn encrypt_blocks_wide(keys: &SlicedKeys, rk: &[[u8; 16]; 11], blocks: &mut [Block]) {
+    encrypt_blocks_on(active_tier(), keys, rk, blocks);
+}
+
+/// Generate keystream blocks for counters `counter .. counter + out.len()`
+/// on the active tier.
+pub(crate) fn ctr_blocks_wide(
+    keys: &SlicedKeys,
+    rk: &[[u8; 16]; 11],
+    nonce: u64,
+    counter: u64,
+    out: &mut [Block],
+) {
+    ctr_blocks_on(active_tier(), keys, rk, nonce, counter, out);
+}
+
+/// Encrypt an arbitrary number of blocks in place on `tier`. A trailing
+/// partial batch on the sliced tier is padded through a scratch buffer so
+/// the kernel only ever sees full batches. Zero-length input is a no-op.
+///
+/// # Panics
+/// If `tier` is not [`supported`] on this CPU.
+pub(crate) fn encrypt_blocks_on(
+    tier: Tier,
+    keys: &SlicedKeys,
+    rk: &[[u8; 16]; 11],
+    blocks: &mut [Block],
+) {
+    if blocks.is_empty() {
+        return;
+    }
+    assert!(supported(tier), "tier {} is not supported", tier.name());
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::HwAes {
+        // SAFETY: the assert above confirmed AES-NI and SSE2; the
+        // intrinsic path handles any block count itself.
+        unsafe { x86::encrypt_blocks_aesni(rk, blocks) };
+        return;
+    }
+    let _ = rk;
+    let mut chunks = blocks.chunks_exact_mut(MAX_BATCH);
     for ch in &mut chunks {
-        f(ch);
+        encrypt_batch(keys, ch);
     }
     let rem = chunks.into_remainder();
     if !rem.is_empty() {
         let mut scratch = [[0u8; 16]; MAX_BATCH];
         scratch[..rem.len()].copy_from_slice(rem);
-        f(&mut scratch[..batch]);
+        encrypt_batch(keys, &mut scratch);
         rem.copy_from_slice(&scratch[..rem.len()]);
     }
 }
 
-/// Encrypt an arbitrary number of blocks in place on the active tier.
-pub(crate) fn encrypt_blocks_wide(keys: &SlicedKeys, rk: &[[u8; 16]; 11], blocks: &mut [Block]) {
-    if blocks.is_empty() {
-        return;
-    }
-    let tier = active_tier();
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: active_tier() only returns HwAes when AES-NI+SSE2 are
-        // detected; the intrinsic path handles any block count itself.
-        Tier::HwAes => unsafe { x86::encrypt_blocks_aesni(rk, blocks) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: active_tier() only returns Sliced4 when AVX2 is detected.
-        Tier::Sliced4 => run_batched(blocks, 16, |ch| unsafe {
-            x86::encrypt_batch_avx2(keys, ch)
-        }),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: active_tier() only returns Sliced8 when AVX-512F is
-        // detected.
-        Tier::Sliced8 => run_batched(blocks, 32, |ch| unsafe {
-            x86::encrypt_batch_avx512(keys, ch)
-        }),
-        _ => {
-            let _ = rk;
-            run_batched(blocks, 8, |ch| encrypt_batch_kernel::<L<2>>(keys, ch));
-        }
-    }
-}
-
 /// Generate keystream blocks for counters `counter .. counter + out.len()`
-/// on the active tier, packing counters straight into the sliced state.
-/// Zero-length output is a no-op.
-pub(crate) fn ctr_blocks_wide(
+/// on `tier`; the sliced tier packs counters straight into its state.
+/// Counters wrap modulo 2^64. Zero-length output is a no-op.
+///
+/// # Panics
+/// If `tier` is not [`supported`] on this CPU.
+pub(crate) fn ctr_blocks_on(
+    tier: Tier,
     keys: &SlicedKeys,
     rk: &[[u8; 16]; 11],
     nonce: u64,
@@ -1119,7 +742,7 @@ pub(crate) fn ctr_blocks_wide(
     if out.is_empty() {
         return;
     }
-    let tier = active_tier();
+    assert!(supported(tier), "tier {} is not supported", tier.name());
     #[cfg(target_arch = "x86_64")]
     if tier == Tier::HwAes {
         // Hardware AES consumes IV bytes directly: write the counter blocks
@@ -1128,55 +751,53 @@ pub(crate) fn ctr_blocks_wide(
             block[..8].copy_from_slice(&nonce.to_be_bytes());
             block[8..].copy_from_slice(&counter.wrapping_add(i as u64).to_be_bytes());
         }
-        // SAFETY: active_tier() only returns HwAes when AES-NI+SSE2 are
-        // detected.
+        // SAFETY: the assert above confirmed AES-NI and SSE2.
         unsafe { x86::encrypt_blocks_aesni(rk, out) };
         return;
     }
     let _ = rk;
-    let run_ctr = |batch: usize, out: &mut [Block], f: &mut dyn FnMut(u64, &mut [Block])| {
-        let mut c = counter;
-        let mut chunks = out.chunks_exact_mut(batch);
-        for ch in &mut chunks {
-            f(c, ch);
-            c = c.wrapping_add(batch as u64);
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let mut scratch = [[0u8; 16]; MAX_BATCH];
-            f(c, &mut scratch[..batch]);
-            rem.copy_from_slice(&scratch[..rem.len()]);
-        }
-    };
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: active_tier() only returns Sliced4 when AVX2 is detected.
-        Tier::Sliced4 => run_ctr(16, out, &mut |c, ch| unsafe {
-            x86::ctr_batch_avx2(keys, nonce, c, ch)
-        }),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: active_tier() only returns Sliced8 when AVX-512F is
-        // detected.
-        Tier::Sliced8 => run_ctr(32, out, &mut |c, ch| unsafe {
-            x86::ctr_batch_avx512(keys, nonce, c, ch)
-        }),
-        _ => run_ctr(8, out, &mut |c, ch| {
-            ctr_batch_kernel::<L<2>>(keys, nonce, c, ch)
-        }),
+    let mut c = counter;
+    let mut chunks = out.chunks_exact_mut(MAX_BATCH);
+    for ch in &mut chunks {
+        ctr_batch(keys, nonce, c, ch);
+        c = c.wrapping_add(MAX_BATCH as u64);
     }
+    let rem = chunks.into_remainder();
+    if !rem.is_empty() {
+        let mut scratch = [[0u8; 16]; MAX_BATCH];
+        ctr_batch(keys, nonce, c, &mut scratch);
+        rem.copy_from_slice(&scratch[..rem.len()]);
+    }
+}
+
+#[inline(always)]
+fn encrypt_batch(keys: &SlicedKeys, blocks: &mut [Block]) {
+    let mut q = pack_blocks(blocks);
+    encrypt_sliced(&keys.0, &mut q);
+    unpack_blocks(&q, blocks);
+}
+
+#[inline(always)]
+fn ctr_batch(keys: &SlicedKeys, nonce: u64, counter: u64, out: &mut [Block]) {
+    let mut q = pack_ctr(nonce, counter);
+    encrypt_sliced(&keys.0, &mut q);
+    unpack_blocks(&q, out);
+}
+
+/// Every tier this CPU runs. Tests pass each one explicitly so that none of
+/// them touches the process-wide [`set_force_tier`] switch.
+#[cfg(test)]
+pub(crate) fn all_supported_tiers() -> Vec<Tier> {
+    [Tier::Sliced2, Tier::HwAes]
+        .into_iter()
+        .filter(|&t| supported(t))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aes::Aes128;
-
-    fn all_supported_tiers() -> Vec<Tier> {
-        [Tier::Sliced2, Tier::Sliced4, Tier::Sliced8, Tier::HwAes]
-            .into_iter()
-            .filter(|&t| supported(t))
-            .collect()
-    }
 
     struct SplitMix64(u64);
     impl SplitMix64 {
@@ -1192,21 +813,6 @@ mod tests {
             b[..8].copy_from_slice(&self.next().to_be_bytes());
             b[8..].copy_from_slice(&self.next().to_be_bytes());
             b
-        }
-    }
-
-    /// Force-tier guard so a failing test cannot leak a pinned tier into
-    /// other tests on the same thread.
-    struct ForceTier;
-    impl ForceTier {
-        fn pin(t: Tier) -> Self {
-            assert!(set_force_tier(Some(t)));
-            ForceTier
-        }
-    }
-    impl Drop for ForceTier {
-        fn drop(&mut self) {
-            set_force_tier(None);
         }
     }
 
@@ -1227,9 +833,8 @@ mod tests {
         let cipher = Aes128::new(&key);
         let keys = SlicedKeys::expand(cipher.round_key_bytes());
         for tier in all_supported_tiers() {
-            let _guard = ForceTier::pin(tier);
             let mut blocks = [pt; MAX_BATCH];
-            encrypt_blocks_wide(&keys, cipher.round_key_bytes(), &mut blocks);
+            encrypt_blocks_on(tier, &keys, cipher.round_key_bytes(), &mut blocks);
             for b in &blocks {
                 assert_eq!(b, &ct, "tier {}", tier.name());
             }
@@ -1237,31 +842,29 @@ mod tests {
     }
 
     #[test]
-    fn every_tier_matches_ttable_on_random_blocks_and_odd_lengths() {
+    fn every_tier_matches_scalar_on_random_blocks_and_odd_lengths() {
         let mut rng = SplitMix64(0xB175_11CE);
         let key = rng.block();
         let cipher = Aes128::new(&key);
+        let oracle = Aes128::new_scalar(&key);
         let keys = SlicedKeys::expand(cipher.round_key_bytes());
         for len in [1usize, 2, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 100] {
             let plain: Vec<Block> = (0..len).map(|_| rng.block()).collect();
-            let mut expect = plain.clone();
-            for b in expect.iter_mut() {
-                *b = cipher.encrypt_block(b);
-            }
+            let expect: Vec<Block> = plain.iter().map(|b| oracle.encrypt_block(b)).collect();
             for tier in all_supported_tiers() {
-                let _guard = ForceTier::pin(tier);
                 let mut got = plain.clone();
-                encrypt_blocks_wide(&keys, cipher.round_key_bytes(), &mut got);
+                encrypt_blocks_on(tier, &keys, cipher.round_key_bytes(), &mut got);
                 assert_eq!(got, expect, "tier {} len {}", tier.name(), len);
             }
         }
     }
 
     #[test]
-    fn ctr_packing_matches_explicit_ivs_on_every_tier() {
+    fn ctr_packing_matches_scalar_ivs_on_every_tier() {
         let mut rng = SplitMix64(0xC0DE_C0DE);
         let key = rng.block();
         let cipher = Aes128::new(&key);
+        let oracle = Aes128::new_scalar(&key);
         let keys = SlicedKeys::expand(cipher.round_key_bytes());
         // Counters that carry into the high word and wrap u64.
         let cases: [(u64, u64); 5] = [
@@ -1277,12 +880,18 @@ mod tests {
                 for (i, b) in expect.iter_mut().enumerate() {
                     b[..8].copy_from_slice(&nonce.to_be_bytes());
                     b[8..].copy_from_slice(&counter.wrapping_add(i as u64).to_be_bytes());
-                    *b = cipher.encrypt_block(b);
+                    *b = oracle.encrypt_block(b);
                 }
                 for tier in all_supported_tiers() {
-                    let _guard = ForceTier::pin(tier);
                     let mut got = vec![[0u8; 16]; len];
-                    ctr_blocks_wide(&keys, cipher.round_key_bytes(), nonce, counter, &mut got);
+                    ctr_blocks_on(
+                        tier,
+                        &keys,
+                        cipher.round_key_bytes(),
+                        nonce,
+                        counter,
+                        &mut got,
+                    );
                     assert_eq!(got, expect, "tier {} len {}", tier.name(), len);
                 }
             }
@@ -1293,26 +902,16 @@ mod tests {
     fn zero_length_requests_do_not_panic() {
         let cipher = Aes128::new(&[0u8; 16]);
         let keys = SlicedKeys::expand(cipher.round_key_bytes());
-        encrypt_blocks_wide(&keys, cipher.round_key_bytes(), &mut []);
-        ctr_blocks_wide(&keys, cipher.round_key_bytes(), 1, 2, &mut []);
-    }
-
-    #[test]
-    fn force_tier_rejects_unsupported_and_round_trips() {
         for tier in all_supported_tiers() {
-            assert!(set_force_tier(Some(tier)));
-            assert_eq!(active_tier(), tier);
+            encrypt_blocks_on(tier, &keys, cipher.round_key_bytes(), &mut []);
+            ctr_blocks_on(tier, &keys, cipher.round_key_bytes(), 1, 2, &mut []);
         }
-        set_force_tier(None);
-        assert_eq!(active_tier(), detect_best());
-        #[cfg(not(target_arch = "x86_64"))]
-        assert!(!set_force_tier(Some(Tier::HwAes)));
     }
 
     #[test]
     fn ortho_is_an_involution() {
         let mut rng = SplitMix64(7);
-        let orig: [L<2>; 8] = std::array::from_fn(|_| L([rng.next(), rng.next()]));
+        let orig: [L; 8] = std::array::from_fn(|_| L([rng.next(), rng.next()]));
         let mut q = orig;
         ortho(&mut q);
         ortho(&mut q);
@@ -1322,7 +921,7 @@ mod tests {
     }
 
     /// Rough keystream throughput per tier; run with
-    /// `cargo test -p obfusmem-crypto --release -- --ignored --nocapture`.
+    /// `cargo test -p obfusmem-crypto --release throughput_probe -- --ignored --nocapture`.
     #[test]
     #[ignore]
     fn throughput_probe() {
@@ -1330,12 +929,12 @@ mod tests {
         let keys = SlicedKeys::expand(cipher.round_key_bytes());
         let mut out = vec![[0u8; 16]; 256];
         for tier in all_supported_tiers() {
-            let _guard = ForceTier::pin(tier);
             let iters = 3000usize;
             let start = std::time::Instant::now();
             let mut acc = 0u8;
             for i in 0..iters {
-                ctr_blocks_wide(
+                ctr_blocks_on(
+                    tier,
                     &keys,
                     cipher.round_key_bytes(),
                     7,
@@ -1353,10 +952,10 @@ mod tests {
     #[test]
     fn pack_unpack_round_trips() {
         let mut rng = SplitMix64(99);
-        let blocks: Vec<Block> = (0..8).map(|_| rng.block()).collect();
-        let q = pack_blocks::<L<2>>(&blocks);
-        let mut out = vec![[0u8; 16]; 8];
-        unpack_blocks::<L<2>>(&q, &mut out);
+        let blocks: Vec<Block> = (0..MAX_BATCH).map(|_| rng.block()).collect();
+        let q = pack_blocks(&blocks);
+        let mut out = vec![[0u8; 16]; MAX_BATCH];
+        unpack_blocks(&q, &mut out);
         assert_eq!(blocks, out);
     }
 }

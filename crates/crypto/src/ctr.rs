@@ -696,9 +696,9 @@ mod tests {
         /// Differential gate for the banked wide-block path: any
         /// interleaving of seek / skip / single-pad / ragged-batch calls
         /// must produce exactly the pads the per-block oracle
-        /// ([`CtrStream::pad_at`], which routes through the T-table
-        /// single-block path) predicts, with the counter tracking the
-        /// next unserved index throughout.
+        /// ([`CtrStream::pad_at`], which encrypts one explicit IV per
+        /// call) predicts, with the counter tracking the next unserved
+        /// index throughout.
         #[test]
         fn interleaved_ops_match_per_block_oracle(ops: Vec<(u8, u8)>, key: [u8; 16], lane: u64) {
             let part = CtrSpacePartition::new(6).unwrap();
