@@ -6,10 +6,10 @@ use obfusmem_bench::quick::{Criterion, Throughput};
 use obfusmem_bench::{criterion_group, criterion_main};
 use obfusmem_cpu::stream::MissStream;
 use obfusmem_cpu::workload::by_name;
-use obfusmem_mem::config::MemConfig;
+use obfusmem_mem::config::{BackendKind, MemConfig};
 use obfusmem_mem::device::PcmMemory;
-use obfusmem_mem::request::AccessKind;
-use obfusmem_sim::rng::Zipf;
+use obfusmem_mem::request::{AccessKind, BlockAddr};
+use obfusmem_sim::rng::{SplitMix64, Zipf};
 use obfusmem_sim::time::{Duration, Time};
 
 fn bench_device(c: &mut Criterion) {
@@ -103,7 +103,71 @@ fn bench_scheduler(c: &mut Criterion) {
             std::hint::black_box(s.take_completions().len())
         })
     });
+
+    // One steady-state co-designed Path ORAM read at L=12 on Table 2's
+    // single channel: 88 slot reads (data path + posmap levels) batched
+    // through the FR-FCFS queues, then 88 posted write-backs.
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("codesign_access_l12", |b| {
+        use obfusmem_cpu::core::MemoryBackend;
+        use obfusmem_oram::codesign::CodesignOram;
+        use obfusmem_oram::path_oram::OramConfig;
+        let geometry = OramConfig {
+            levels: 12,
+            bucket_size: 4,
+            blocks: 4096,
+        };
+        let mut oram = CodesignOram::new(geometry, MemConfig::table2(), 7).expect("geometry");
+        let mut rng = SplitMix64::new(3);
+        let mut t = Time::ZERO;
+        for _ in 0..64 {
+            t = oram.read(t, BlockAddr::from_index(rng.below(4096)));
+        }
+        b.iter(|| {
+            t = oram.read(t, BlockAddr::from_index(rng.below(4096)));
+            std::hint::black_box(t)
+        })
+    });
+
+    // The same shape at the device: a batch of 88 path-slot reads that
+    // must get past the previous batch's 88 posted writes.
+    group.throughput(Throughput::Elements(88));
+    group.bench_function("path_batch_88_plus_posted", |b| {
+        let mut mem = PcmMemory::new(MemConfig::table2().with_backend(BackendKind::Queued));
+        let mut rng = SplitMix64::new(5);
+        let mut t = Time::ZERO;
+        b.iter(|| {
+            let addrs = path_slots(rng.below(1 << 12));
+            let done = mem
+                .access_batch(t, &addrs, AccessKind::Read)
+                .iter()
+                .fold(t, |acc, r| acc.max(r.complete_at));
+            for &a in &addrs {
+                mem.access_posted(done, a, AccessKind::Write);
+            }
+            t = done;
+            std::hint::black_box(t)
+        })
+    });
     group.finish();
+}
+
+/// The 88 slot addresses of one L=12 co-designed access: the data path
+/// (13 buckets of 4) plus a 9-bucket posmap path in its own region.
+fn path_slots(leaf: u64) -> Vec<u64> {
+    const POSMAP_BASE: u64 = 1 << 20;
+    let mut addrs = Vec::with_capacity(88);
+    for (base, levels) in [(0u64, 12u32), (POSMAP_BASE, 8)] {
+        let mut node = (1u64 << levels) - 1 + leaf % (1 << levels);
+        loop {
+            addrs.extend((0..4).map(|slot| base + (node * 4 + slot) * 64));
+            if node == 0 {
+                break;
+            }
+            node = (node - 1) / 2;
+        }
+    }
+    addrs
 }
 
 fn bench_workload(c: &mut Criterion) {

@@ -35,7 +35,7 @@ use crate::config::{BackendKind, MemConfig};
 use crate::energy::{EnergyModel, WearTracker};
 use crate::fault::{DeviceFaultKind, DeviceFaultPlan, DeviceFaultState};
 use crate::request::{AccessKind, BlockAddr, BlockData, BLOCK_BYTES};
-use crate::scheduler::{Completion, ShardedFrFcfs};
+use crate::scheduler::{Completion, RequestId, ShardedFrFcfs};
 
 /// Result of a device access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,6 +65,12 @@ fn channel_slot(channels: &mut [Channel], channel: usize) -> &mut Channel {
     channels
         .get_mut(channel)
         .unwrap_or_else(|| panic!("channel {channel} out of range ({count} channels)"))
+}
+
+/// The channel-qualified bank key used for wear and activation
+/// accounting.
+fn bank_key(cfg: &MemConfig, channel: usize, d: &DecodedAddr) -> usize {
+    channel * 100 + d.rank * cfg.banks_per_rank + d.bank
 }
 
 /// The simulated PCM main memory.
@@ -123,12 +129,6 @@ impl PcmMemory {
         decode(&self.cfg, addr)
     }
 
-    /// The channel-qualified bank key used for wear and activation
-    /// accounting.
-    fn bank_key(&self, channel: usize, d: &DecodedAddr) -> usize {
-        channel * 100 + d.rank * self.cfg.banks_per_rank + d.bank
-    }
-
     /// Timing access: returns completion time and updates all state.
     ///
     /// Under the queued backend this is a *demand* access: it enqueues
@@ -153,7 +153,7 @@ impl PcmMemory {
         }
         if outcome != RowBufferOutcome::Hit {
             self.array_reads += 1; // row activation reads the array
-            let bank = self.bank_key(decoded.channel, &decoded);
+            let bank = bank_key(&self.cfg, decoded.channel, &decoded);
             *self.activations.entry((bank, decoded.row)).or_insert(0) += 1;
         }
         AccessResult {
@@ -179,33 +179,41 @@ impl PcmMemory {
         let Fabric::Queued(q) = &mut self.fabric else {
             unreachable!("reservation handled above")
         };
-        let tags: Vec<(usize, crate::scheduler::RequestId)> =
-            addrs.iter().map(|&a| q.enqueue(at, a, kind)).collect();
+        let tags: Vec<(usize, RequestId)> = addrs.iter().map(|&a| q.enqueue(at, a, kind)).collect();
+        let Some(&(_, first)) = tags.first() else {
+            return Vec::new();
+        };
         // Drive each channel until its batch members complete. FR-FCFS
         // may service members out of enqueue order, so completions are
-        // harvested as they surface rather than demanded one by one.
-        let mut done: HashMap<(usize, crate::scheduler::RequestId), Completion> = HashMap::new();
-        for &(channel, id) in &tags {
-            if !done.contains_key(&(channel, id)) {
+        // harvested as they surface rather than demanded one by one. The
+        // batch's ids are consecutive, so a completion's offset from the
+        // first id is its result slot; posted work from other ids falls
+        // outside the table (its accounting still happens in the drain).
+        let mut results: Vec<Option<AccessResult>> = vec![None; tags.len()];
+        for (slot, &(channel, id)) in tags.iter().enumerate() {
+            if results[slot].is_none() {
                 let Fabric::Queued(q) = &mut self.fabric else {
                     unreachable!("fabric cannot change mid-batch")
                 };
                 q.run_until_completed(channel, id);
-                for (ch, c) in self.collect_queued_events() {
-                    done.insert((ch, c.id), c);
-                }
+                self.collect_queued_events(|ch, c| {
+                    if let Some(r) = c.id.offset_from(first).and_then(|k| results.get_mut(k)) {
+                        *r = Some(AccessResult {
+                            complete_at: c.at,
+                            channel: ch,
+                            row_hit: c.row_hit,
+                        });
+                    }
+                });
             }
         }
-        tags.iter()
-            .map(|&(channel, id)| {
-                let c = done.get(&(channel, id)).unwrap_or_else(|| {
+        results
+            .into_iter()
+            .zip(&tags)
+            .map(|(r, (_, id))| {
+                r.unwrap_or_else(|| {
                     panic!("batch request {id:?} serviced without a completion record")
-                });
-                AccessResult {
-                    complete_at: c.at,
-                    channel,
-                    row_hit: c.row_hit,
-                }
+                })
             })
             .collect()
     }
@@ -235,7 +243,7 @@ impl PcmMemory {
     pub fn drain_queued(&mut self) {
         if let Fabric::Queued(q) = &mut self.fabric {
             q.run_until(Time::from_ps(u64::MAX));
-            self.collect_queued_events();
+            self.collect_queued_events(|_, _| {});
         }
     }
 
@@ -253,12 +261,14 @@ impl PcmMemory {
         };
         let (channel, id) = q.enqueue(at, addr, kind);
         q.run_until_completed(channel, id);
-        let completions = self.collect_queued_events();
-        let done = completions
-            .iter()
-            .find(|(_, c)| c.id == id)
-            .map(|(_, c)| *c)
-            .unwrap_or_else(|| panic!("request {id:?} serviced without a completion record"));
+        let mut done = None;
+        self.collect_queued_events(|_, c| {
+            if c.id == id {
+                done = Some(c);
+            }
+        });
+        let done =
+            done.unwrap_or_else(|| panic!("request {id:?} serviced without a completion record"));
         AccessResult {
             complete_at: done.at,
             channel,
@@ -266,30 +276,32 @@ impl PcmMemory {
         }
     }
 
-    /// Drains scheduler completions and adaptive-close cell writes,
-    /// folding them into wear, activation, and array-op accounting.
-    fn collect_queued_events(&mut self) -> Vec<(usize, Completion)> {
-        let (completions, cell_writes) = match &mut self.fabric {
-            Fabric::Queued(q) => (q.take_completions(), q.take_cell_writes()),
-            Fabric::Reservation(_) => return Vec::new(),
+    /// Drains scheduler completions and adaptive-close cell writes in
+    /// place, folding them into wear, activation, and array-op
+    /// accounting and handing each completion to `each`.
+    fn collect_queued_events(&mut self, mut each: impl FnMut(usize, Completion)) {
+        let Fabric::Queued(q) = &mut self.fabric else {
+            return;
         };
-        for (channel, c) in &completions {
+        let cfg = &self.cfg;
+        let (wear, activations) = (&mut self.wear, &mut self.activations);
+        let (array_reads, array_writes) = (&mut self.array_reads, &mut self.array_writes);
+        q.drain_completions(|channel, c| {
             if let Some(row) = c.evicted_row {
-                self.wear
-                    .record_write(self.bank_key(*channel, &c.decoded), row);
-                self.array_writes += 1;
+                wear.record_write(bank_key(cfg, channel, &c.decoded), row);
+                *array_writes += 1;
             }
             if c.outcome != RowBufferOutcome::Hit {
-                self.array_reads += 1;
-                let bank = self.bank_key(*channel, &c.decoded);
-                *self.activations.entry((bank, c.decoded.row)).or_insert(0) += 1;
+                *array_reads += 1;
+                let bank = bank_key(cfg, channel, &c.decoded);
+                *activations.entry((bank, c.decoded.row)).or_insert(0) += 1;
             }
-        }
-        for (channel, bank, row) in cell_writes {
-            self.wear.record_write(channel * 100 + bank, row);
-            self.array_writes += 1;
-        }
-        completions
+            each(channel, c);
+        });
+        q.drain_cell_writes(|channel, bank, row| {
+            wear.record_write(channel * 100 + bank, row);
+            *array_writes += 1;
+        });
     }
 
     /// Occupies `channel`'s data bus for one burst without any array
@@ -808,6 +820,81 @@ mod tests {
         }
         let addrs: Vec<u64> = m.stored_addrs().iter().map(|a| a.as_u64()).collect();
         assert_eq!(addrs, vec![0x0, 0x40, 0x1000, 0x8000]);
+    }
+
+    /// Posted work from other ids completes mid-batch: each batch result
+    /// must carry its own id's completion, and the posted completions
+    /// (and adaptive-close write-backs) must still reach the wear and
+    /// activation accounting. The reference drives a bare
+    /// [`ShardedFrFcfs`] through the same enqueue/drive sequence.
+    #[test]
+    fn batch_results_match_their_own_ids_amid_posted_completions() {
+        let cfg = MemConfig::table2()
+            .with_channels(2)
+            .with_backend(BackendKind::Queued);
+        // Posted writes dirty four rows across six banks; the read batch
+        // then hits some of those rows and conflicts with the others.
+        let posted: Vec<u64> = (0..28u64)
+            .map(|i| (i % 4) * (1 << 24) + (i % 6) * 1024)
+            .collect();
+        let batch: Vec<u64> = (0..40u64)
+            .map(|i| ((i % 3) + 2) * (1 << 24) / 2 + (i % 8) * 1024 + (i % 5) * 64)
+            .collect();
+        let at = Time::from_ps(7_000);
+
+        let mut m = PcmMemory::new(cfg.clone());
+        let mut reference = ShardedFrFcfs::new(cfg.clone());
+        // Four more posted writes arrive long after the batch: they must
+        // stay queued, not be dragged through by the batch's driving.
+        let late = Time::from_ps(1_000_000_000);
+        let posted_at = |i: usize| if i < 24 { Time::ZERO } else { late };
+        for (i, &a) in posted.iter().enumerate() {
+            m.access_posted(posted_at(i), a, AccessKind::Write);
+            reference.enqueue(posted_at(i), a, AccessKind::Write);
+        }
+        let results = m.access_batch(at, &batch, AccessKind::Read);
+
+        let tags: Vec<_> = batch
+            .iter()
+            .map(|&a| reference.enqueue(at, a, AccessKind::Read))
+            .collect();
+        let mut done: HashMap<RequestId, Completion> = HashMap::new();
+        let (mut wear, mut activations, mut posted_done) = (0u64, 0u64, 0usize);
+        for &(channel, id) in &tags {
+            if done.contains_key(&id) {
+                continue;
+            }
+            reference.run_until_completed(channel, id);
+            reference.drain_completions(|_, c| {
+                wear += u64::from(c.evicted_row.is_some());
+                activations += u64::from(c.outcome != RowBufferOutcome::Hit);
+                posted_done += usize::from(c.kind == AccessKind::Write);
+                done.insert(c.id, c);
+            });
+            reference.drain_cell_writes(|_, _, _| wear += 1);
+        }
+        for (r, &(channel, id)) in results.iter().zip(&tags) {
+            let c = done[&id];
+            assert_eq!(
+                *r,
+                AccessResult {
+                    complete_at: c.at,
+                    channel,
+                    row_hit: c.row_hit
+                },
+                "result for {id:?} carries another request's completion"
+            );
+        }
+        assert!(posted_done > 0, "posted writes must complete mid-batch");
+        assert_eq!(m.pending_requests(), reference.queue_depth());
+        assert_eq!(m.wear().total_writes(), wear);
+        assert_eq!(m.activation_counts().iter().sum::<u64>(), activations);
+        assert_eq!(m.array_ops(), (activations, wear));
+        // Known answers recorded from the full-scan picker.
+        assert_eq!(
+            (posted_done, wear, activations, m.pending_requests()),
+            (24, 12, 30, 4)
+        );
     }
 
     /// Row stride for channel-0/rank-0/bank-0 addresses under Table 2:

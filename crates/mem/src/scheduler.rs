@@ -11,11 +11,12 @@
 //!
 //! Two layers:
 //!
-//! * [`FrFcfsScheduler`] — the controller for **one channel**: per-bank
-//!   sub-queues (so candidate selection, adaptive-close scans, and
-//!   dequeues touch only the affected bank instead of the whole queue),
-//!   plus the channel's request/response lanes so data transfers contend
-//!   exactly as in [`crate::channel::Channel`].
+//! * [`FrFcfsScheduler`] — the controller for **one channel**: each
+//!   bank's pending requests are split into lanes keyed by `(row,
+//!   class)`, whose fronts are the only possible picks, and a tournament
+//!   over the banks re-evaluates only the banks a change touched. It
+//!   also owns the channel's request/response lanes, so data transfers
+//!   contend exactly as in [`crate::channel::Channel`].
 //! * [`ShardedFrFcfs`] — the channel demux: decodes each address once,
 //!   routes it to the owning channel's controller, and allocates
 //!   device-global [`RequestId`]s. Sharding is also the channel-aliasing
@@ -28,6 +29,8 @@
 //! *different* row of the same bank, the controller precharges early
 //! (adaptive close) to hide the PCM write-back behind queueing time.
 
+use std::collections::VecDeque;
+
 use obfusmem_sim::stats::{Counter, Histogram};
 use obfusmem_sim::time::Time;
 
@@ -37,14 +40,31 @@ use crate::channel::{BankStats, ChannelStats, Lane};
 use crate::config::MemConfig;
 use crate::request::AccessKind;
 
+#[cfg(test)]
+mod oracle;
+
 /// Identifier for a queued request. Unique per controller; the sharded
 /// demux allocates them globally so ids stay unique across channels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RequestId(u64);
 
+impl RequestId {
+    /// How many ids after `first` this one was allocated (`None` if
+    /// before it). A batch enqueued back to back gets consecutive ids,
+    /// so this indexes a per-batch result table.
+    pub(crate) fn offset_from(self, first: RequestId) -> Option<usize> {
+        self.0
+            .checked_sub(first.0)
+            .and_then(|d| usize::try_from(d).ok())
+    }
+}
+
 /// Default same-bank bypass budget before a low-class request is
 /// promoted to class 0.
 pub const DEFAULT_STARVATION_LIMIT: u32 = 16;
+
+/// Sentinel arrival for "nothing pending" in the cached oldest arrivals.
+const NEVER: Time = Time::from_ps(u64::MAX);
 
 #[derive(Debug, Clone)]
 struct QueueEntry {
@@ -52,10 +72,6 @@ struct QueueEntry {
     decoded: DecodedAddr,
     kind: AccessKind,
     arrival: Time,
-    /// Traffic class (0 = highest priority). Plain enqueues use class 0,
-    /// so single-class workloads schedule exactly as before classes
-    /// existed.
-    class: u8,
     /// Times a same-bank pick bypassed this entry (starvation aging).
     bypassed: u32,
 }
@@ -107,14 +123,11 @@ impl SchedulerStats {
     }
 }
 
-/// The FR-FCFS issue choice for one bank, cached until the bank changes.
-///
-/// A pick only mutates its own bank (busy window, open row, queue), so
-/// every other bank's best candidate stays valid — re-evaluating just the
-/// touched bank replaces the old whole-queue rescan per pick.
+/// A bank's FR-FCFS issue choice: the front of one of its lanes.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
-    slot: usize,
+    bank: usize,
+    lane: usize,
     start: Time,
     row_hit: bool,
     class: u8,
@@ -123,11 +136,13 @@ struct Candidate {
 }
 
 impl Candidate {
-    /// FR-FCFS priority: earlier start wins; ties prefer row hits, then
-    /// higher traffic class (lower number), then age, then enqueue order
-    /// (ids are allocated in enqueue order). With every request at class
-    /// 0 — all legacy call sites — the class key is inert and the order
-    /// is exactly the classic FR-FCFS one.
+    /// FR-FCFS priority, the tuple `(start, !row_hit, class, arrival,
+    /// id)`: earlier start wins; ties prefer row hits, then higher
+    /// traffic class (lower number), then age, then enqueue order (ids
+    /// are allocated in enqueue order). Ids are unique, so this is a
+    /// strict total order and any correct minimum is the same pick. With
+    /// every request at class 0 — all legacy call sites — the class key
+    /// is inert and the order is exactly the classic FR-FCFS one.
     fn beats(&self, other: &Candidate) -> bool {
         (self.start, !self.row_hit, self.class, self.arrival, self.id)
             < (
@@ -140,48 +155,123 @@ impl Candidate {
     }
 }
 
-/// One bank plus its private sub-queue.
+/// One bank's pending requests that share a row and a traffic class,
+/// sorted by `(arrival, id)`.
+///
+/// Row-hit status and class are equal across a lane, and a request's
+/// start `max(arrival, busy_until)` rises with its arrival, so the
+/// lane's front is its best request under [`Candidate::beats`].
+#[derive(Debug)]
+struct RowLane {
+    row: u64,
+    class: u8,
+    entries: VecDeque<QueueEntry>,
+}
+
+/// One bank plus its pending requests, split into non-empty lanes (in
+/// no particular order: `beats` is a total order).
 #[derive(Debug)]
 struct BankQueue {
     bank: Bank,
-    /// Pending requests sorted by (arrival, id).
-    pending: Vec<QueueEntry>,
-    /// Cached best candidate; recomputed only when `dirty`.
-    best: Option<Candidate>,
-    dirty: bool,
+    lanes: Vec<RowLane>,
+    /// Whether the bank waits in the scheduler's stale list.
+    stale: bool,
 }
 
 impl BankQueue {
     fn new() -> Self {
         BankQueue {
             bank: Bank::new(),
-            pending: Vec::new(),
-            best: None,
-            dirty: false,
+            lanes: Vec::new(),
+            stale: false,
         }
     }
 
-    fn refresh(&mut self) {
-        if !self.dirty {
-            return;
+    /// Files `entry` into its `(row, class)` lane, opening the lane with
+    /// a recycled buffer from `spare` if it has none.
+    fn insert(&mut self, entry: QueueEntry, class: u8, spare: &mut Vec<VecDeque<QueueEntry>>) {
+        let row = entry.decoded.row;
+        let lane = match self
+            .lanes
+            .iter()
+            .position(|l| l.row == row && l.class == class)
+        {
+            Some(i) => &mut self.lanes[i],
+            None => {
+                self.lanes.push(RowLane {
+                    row,
+                    class,
+                    entries: spare.pop().unwrap_or_default(),
+                });
+                self.lanes.last_mut().expect("just pushed")
+            }
+        };
+        let key = (entry.arrival, entry.id);
+        let pos = lane.entries.partition_point(|e| (e.arrival, e.id) <= key);
+        lane.entries.insert(pos, entry);
+    }
+
+    /// Closes emptied lanes, returning their buffers to `spare`.
+    fn prune(&mut self, spare: &mut Vec<VecDeque<QueueEntry>>) {
+        let mut i = 0;
+        while i < self.lanes.len() {
+            if self.lanes[i].entries.is_empty() {
+                spare.push(self.lanes.swap_remove(i).entries);
+            } else {
+                i += 1;
+            }
         }
-        self.dirty = false;
-        let mut best: Option<Candidate> = None;
-        for (slot, e) in self.pending.iter().enumerate() {
-            let candidate = Candidate {
-                slot,
-                start: e.arrival.max(self.bank.busy_until()),
-                row_hit: self.bank.open_row() == Some(e.decoded.row),
-                class: e.class,
-                arrival: e.arrival,
-                id: e.id,
+    }
+
+    /// This bank's tournament leaf: the best lane front, and the oldest
+    /// pending arrival.
+    fn leaf(&self, index: usize) -> Node {
+        let busy = self.bank.busy_until();
+        let open = self.bank.open_row();
+        let mut node = Node::EMPTY;
+        for (lane, l) in self.lanes.iter().enumerate() {
+            let front = &l.entries[0];
+            node.oldest = node.oldest.min(front.arrival);
+            let c = Candidate {
+                bank: index,
+                lane,
+                start: front.arrival.max(busy),
+                row_hit: open == Some(l.row),
+                class: l.class,
+                arrival: front.arrival,
+                id: front.id,
             };
-            best = Some(match best {
-                Some(b) if !candidate.beats(&b) => b,
-                _ => candidate,
-            });
+            if node.best.is_none_or(|b| c.beats(&b)) {
+                node.best = Some(c);
+            }
         }
-        self.best = best;
+        node
+    }
+}
+
+/// A node of the channel's tournament over banks: the best candidate and
+/// the oldest pending arrival among the banks below it.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    best: Option<Candidate>,
+    oldest: Time,
+}
+
+impl Node {
+    const EMPTY: Node = Node {
+        best: None,
+        oldest: NEVER,
+    };
+
+    fn merge(self, other: Node) -> Node {
+        let best = match (self.best, other.best) {
+            (Some(a), Some(b)) => Some(if b.beats(&a) { b } else { a }),
+            (a, b) => a.or(b),
+        };
+        Node {
+            best,
+            oldest: self.oldest.min(other.oldest),
+        }
     }
 }
 
@@ -191,6 +281,14 @@ pub struct FrFcfsScheduler {
     cfg: MemConfig,
     channel: usize,
     banks: Vec<BankQueue>,
+    /// Banks changed by an enqueue since the last pick.
+    stale: Vec<usize>,
+    /// Tournament over the banks' leaves: node 1 is the root, node `k`
+    /// has children `2k` and `2k + 1`, and bank `b`'s leaf is node
+    /// `tree.len() / 2 + b`.
+    tree: Vec<Node>,
+    /// Emptied lane buffers, reused by the next lane a bank opens.
+    spare: Vec<VecDeque<QueueEntry>>,
     pending_count: usize,
     next_id: u64,
     request_lane_free: Time,
@@ -232,6 +330,9 @@ impl FrFcfsScheduler {
             cfg,
             channel,
             banks: (0..bank_count).map(|_| BankQueue::new()).collect(),
+            stale: Vec::new(),
+            tree: vec![Node::EMPTY; 2 * bank_count.next_power_of_two()],
+            spare: Vec::new(),
             pending_count: 0,
             next_id: 0,
             request_lane_free: Time::ZERO,
@@ -295,9 +396,9 @@ impl FrFcfsScheduler {
         self.request_lane_free <= now && self.response_lane_free <= now && self.pending_count == 0
     }
 
-    /// The bank sub-queue a decoded address steers to, with context on
-    /// the invariant violation instead of an opaque index panic.
-    fn bank_queue_mut(&mut self, d: &DecodedAddr) -> (usize, &mut BankQueue) {
+    /// The channel-local bank a decoded address steers to, with context
+    /// on the invariant violation instead of an opaque index panic.
+    fn bank_index(&self, d: &DecodedAddr) -> usize {
         assert_eq!(
             d.channel, self.channel,
             "request decoded to channel {} reached channel {}'s scheduler \
@@ -306,14 +407,14 @@ impl FrFcfsScheduler {
         );
         let index = d.rank * self.cfg.banks_per_rank + d.bank;
         let count = self.banks.len();
-        let bq = self.banks.get_mut(index).unwrap_or_else(|| {
-            panic!(
-                "decoded rank {} / bank {} maps to bank index {index}, \
-                 outside this channel's {count} banks",
-                d.rank, d.bank
-            )
-        });
-        (index, bq)
+        assert!(
+            index < count,
+            "decoded rank {} / bank {} maps to bank index {index}, \
+             outside this channel's {count} banks",
+            d.rank,
+            d.bank
+        );
+        index
     }
 
     /// Enqueues a request at class 0; returns its id. Call
@@ -358,20 +459,20 @@ impl FrFcfsScheduler {
         kind: AccessKind,
         class: u8,
     ) {
-        let (_, bq) = self.bank_queue_mut(&decoded);
+        let index = self.bank_index(&decoded);
         let entry = QueueEntry {
             id,
             decoded,
             kind,
             arrival: at,
-            class,
             bypassed: 0,
         };
-        let pos = bq
-            .pending
-            .partition_point(|e| (e.arrival, e.id) <= (entry.arrival, entry.id));
-        bq.pending.insert(pos, entry);
-        bq.dirty = true;
+        let bq = &mut self.banks[index];
+        bq.insert(entry, class, &mut self.spare);
+        if !bq.stale {
+            bq.stale = true;
+            self.stale.push(index);
+        }
         self.pending_count += 1;
         self.depth_hist.record(self.pending_count as u64);
     }
@@ -403,59 +504,73 @@ impl FrFcfsScheduler {
         );
     }
 
+    /// Re-evaluates the banks enqueued to since the last pick.
+    fn settle(&mut self) {
+        while let Some(index) = self.stale.pop() {
+            self.banks[index].stale = false;
+            self.update_leaf(index);
+        }
+    }
+
+    /// Recomputes bank `index`'s leaf and replays its path to the root.
+    fn update_leaf(&mut self, index: usize) {
+        let mut node = self.tree.len() / 2 + index;
+        self.tree[node] = self.banks[index].leaf(index);
+        while node > 1 {
+            node /= 2;
+            self.tree[node] = self.tree[2 * node].merge(self.tree[2 * node + 1]);
+        }
+    }
+
     /// Issues the single best-priority request startable at or before
     /// `until`, returning its id.
     fn service_next(&mut self, until: Time) -> Option<RequestId> {
-        // Refresh stale per-bank candidates, then take the global best.
-        let mut best: Option<(usize, Candidate)> = None;
-        for (index, bq) in self.banks.iter_mut().enumerate() {
-            bq.refresh();
-            let Some(c) = bq.best else { continue };
-            if c.start > until {
-                continue;
-            }
-            best = Some(match best {
-                Some((bi, b)) if !c.beats(&b) => (bi, b),
-                _ => (index, c),
-            });
+        // The root holds the earliest-starting candidate, so if it cannot
+        // start by `until`, nothing can.
+        self.settle();
+        let pick = self.tree[1].best.filter(|c| c.start <= until)?;
+        let bank_index = pick.bank;
+        let bq = &mut self.banks[bank_index];
+        let lane = &mut bq.lanes[pick.lane];
+        let entry = lane
+            .entries
+            .pop_front()
+            .expect("a candidate is its lane's front");
+        if lane.entries.is_empty() {
+            self.spare.push(bq.lanes.swap_remove(pick.lane).entries);
         }
-        let (bank_index, pick) = best?;
-
-        let entry = self.banks[bank_index].pending.remove(pick.slot);
-        self.banks[bank_index].dirty = true;
         self.pending_count -= 1;
 
         // Starvation aging: every older same-bank request the pick just
         // bypassed burns one unit of its bypass budget; exhausting the
         // budget promotes it to class 0 so class-based arbitration can
-        // never starve bulk traffic. Class-0 entries have nothing to be
-        // promoted to, so classic single-class scheduling never enters
-        // this branch.
+        // never starve bulk traffic. Only class>0 lanes can age, and a
+        // lane's bypassed entries are its prefix older than the pick, so
+        // classic single-class scheduling walks nothing here.
         let limit = self.starvation_limit;
-        let mut promotions = 0u64;
-        for e in self.banks[bank_index].pending.iter_mut() {
-            if e.class > 0 && (e.arrival, e.id) < (entry.arrival, entry.id) {
+        let mut promoted = Vec::new();
+        for lane in bq.lanes.iter_mut().filter(|l| l.class > 0) {
+            let mut i = 0;
+            while let Some(e) = lane.entries.get_mut(i) {
+                if (e.arrival, e.id) >= (entry.arrival, entry.id) {
+                    break;
+                }
                 e.bypassed += 1;
                 if e.bypassed >= limit {
-                    e.class = 0;
-                    promotions += 1;
+                    promoted.extend(lane.entries.remove(i));
+                } else {
+                    i += 1;
                 }
             }
         }
-        self.stats.starvation_promotions.add(promotions);
-
-        // FIFO-violation accounting: did an older request remain? Queues
-        // are arrival-sorted, so each bank's front is its oldest.
-        let older_remains = self.banks.iter().any(|bq| {
-            bq.pending
-                .first()
-                .is_some_and(|e| e.arrival < entry.arrival)
-        });
-        if older_remains {
-            self.stats.reordered.incr();
+        if !promoted.is_empty() {
+            bq.prune(&mut self.spare);
+            self.stats.starvation_promotions.add(promoted.len() as u64);
+            for e in promoted {
+                bq.insert(e, 0, &mut self.spare);
+            }
         }
 
-        let bq = &mut self.banks[bank_index];
         let (bank_done, outcome) =
             bq.bank
                 .access(&self.cfg, pick.start, entry.decoded.row, entry.kind);
@@ -510,19 +625,25 @@ impl FrFcfsScheduler {
         });
 
         // Open-adaptive: if queued work wants a different row of this
-        // bank (and none wants the now-open row), precharge early. Only
-        // this bank's sub-queue needs scanning.
+        // bank (and none wants the now-open row), precharge early. Lanes
+        // are keyed by row, so only this bank's lanes need testing.
         let bq = &mut self.banks[bank_index];
         let open_row = bq.bank.open_row();
-        let same_row_waiting = bq.pending.iter().any(|e| Some(e.decoded.row) == open_row);
-        let other_row_waiting = bq.pending.iter().any(|e| Some(e.decoded.row) != open_row);
+        let same_row_waiting = bq.lanes.iter().any(|l| Some(l.row) == open_row);
+        let other_row_waiting = bq.lanes.iter().any(|l| Some(l.row) != open_row);
         if !same_row_waiting && other_row_waiting {
             bq.bank.close(&self.cfg, complete);
-            bq.dirty = true;
             if let Some(row) = bq.bank.take_evicted_row() {
                 self.cell_writes.push((bank_index, row));
             }
             self.stats.adaptive_closes.incr();
+        }
+
+        // FIFO-violation accounting: did an older request remain? The
+        // root caches the oldest pending arrival across every bank.
+        self.update_leaf(bank_index);
+        if self.tree[1].oldest < entry.arrival {
+            self.stats.reordered.incr();
         }
 
         Some(entry.id)
@@ -676,25 +797,26 @@ impl ShardedFrFcfs {
         self.shard_mut(channel).run_until_completed(id);
     }
 
-    /// Drains completions from every channel, tagged with their channel,
-    /// in (channel, service) order — deterministic for a deterministic
-    /// enqueue sequence.
-    pub fn take_completions(&mut self) -> Vec<(usize, Completion)> {
-        let mut out = Vec::new();
+    /// Hands every completion to `f` with its channel, in (channel,
+    /// service) order — deterministic for a deterministic enqueue
+    /// sequence — and empties the shards' buffers in place.
+    pub fn drain_completions(&mut self, mut f: impl FnMut(usize, Completion)) {
         for (ch, s) in self.shards.iter_mut().enumerate() {
-            out.extend(s.take_completions().into_iter().map(|c| (ch, c)));
+            for c in s.completions.drain(..) {
+                f(ch, c);
+            }
         }
-        out
     }
 
-    /// Drains adaptive-close cell writes from every channel, as
-    /// (channel, channel-local flat bank, row).
-    pub fn take_cell_writes(&mut self) -> Vec<(usize, usize, u64)> {
-        let mut out = Vec::new();
+    /// Hands every adaptive-close cell write to `f` as (channel,
+    /// channel-local flat bank, row), in channel order, and empties the
+    /// shards' buffers in place.
+    pub fn drain_cell_writes(&mut self, mut f: impl FnMut(usize, usize, u64)) {
         for (ch, s) in self.shards.iter_mut().enumerate() {
-            out.extend(s.take_cell_writes().into_iter().map(|(b, r)| (ch, b, r)));
+            for (bank, row) in s.cell_writes.drain(..) {
+                f(ch, bank, row);
+            }
         }
-        out
     }
 }
 
@@ -709,6 +831,13 @@ mod tests {
 
     fn t(ns: u64) -> Time {
         Time::from_ps(ns * 1000)
+    }
+
+    /// Every completion the demux holds, tagged with its channel.
+    fn drained(s: &mut ShardedFrFcfs) -> Vec<(usize, Completion)> {
+        let mut out = Vec::new();
+        s.drain_completions(|ch, c| out.push((ch, c)));
+        out
     }
 
     /// Two rows of the same bank under Table 2's mapping.
@@ -906,7 +1035,7 @@ mod tests {
         let (ch1, second) = s.enqueue(t(200), a1, AccessKind::Read);
         s.run_until_completed(ch1, second);
 
-        let done = s.take_completions();
+        let done = drained(&mut s);
         assert_eq!(done.len(), 2);
         for (_, c) in &done {
             assert!(
@@ -930,7 +1059,7 @@ mod tests {
             ids.push(s.enqueue(Time::ZERO, ch * cfg.row_buffer_bytes, AccessKind::Read));
         }
         s.run_until(t(1000));
-        let done = s.take_completions();
+        let done = drained(&mut s);
         assert_eq!(done.len(), 4);
         for (_, c) in &done {
             assert_eq!(c.at.as_ps(), 78_750);
@@ -1023,7 +1152,7 @@ mod tests {
         let (ch_b, b) = s.enqueue_classed(t(0), cfg.row_buffer_bytes, AccessKind::Read, 0);
         assert_ne!(ch_a, ch_b, "addresses chosen to hit distinct channels");
         s.run_until(t(10_000));
-        let done = s.take_completions();
+        let done = drained(&mut s);
         assert_eq!(done.len(), 2);
         let ids: std::collections::HashSet<_> = done.iter().map(|(_, c)| c.id).collect();
         assert!(ids.contains(&a) && ids.contains(&b));
@@ -1044,6 +1173,122 @@ mod tests {
             "adaptive close of a dirty row must surface the cell write: {writes:?}"
         );
         assert!(s.stats().adaptive_closes.get() >= 1);
+    }
+
+    /// One step of a differential stream: `(address bits, class,
+    /// arrival or horizon in ns, action)`. Actions 0 and 1 drive the
+    /// controllers (`run_until` and `run_until_completed`); the rest
+    /// enqueue.
+    type Op = (u64, u8, u64, u8);
+
+    /// Feeds `ops` to the lane picker (through [`ShardedFrFcfs`]) and to
+    /// one full-scan oracle per channel, asserting after every step that
+    /// both serviced the same requests identically, and at the end that
+    /// every counter, cell write and depth histogram agrees. Returns the
+    /// lane picker's totals so callers can check what the stream hit.
+    fn differential(channels: usize, limit: u32, ops: &[Op]) -> SchedulerStats {
+        let cfg = MemConfig::table2().with_channels(channels);
+        let mut fast = ShardedFrFcfs::new(cfg.clone());
+        fast.set_starvation_limit(limit);
+        let mut slow: Vec<oracle::FullScan> = (0..channels)
+            .map(|_| oracle::FullScan::new(cfg.clone(), limit))
+            .collect();
+        let mut pending: Vec<(usize, RequestId)> = Vec::new();
+        let ch_bits = channels.trailing_zeros();
+        for &(bits, class, ns, action) in ops {
+            match action {
+                0 => {
+                    fast.run_until(t(ns));
+                    slow.iter_mut().for_each(|o| o.run_until(t(ns)));
+                }
+                1 if !pending.is_empty() => {
+                    let (ch, id) = pending[bits as usize % pending.len()];
+                    fast.run_until_completed(ch, id);
+                    slow[ch].run_until_completed(id);
+                }
+                _ => {
+                    // Four rows over two banks of rank 0 (rank 1 rarely),
+                    // so requests pile up and collide.
+                    let row = bits & 3;
+                    let bank = (bits >> 2) & 1;
+                    let rank = u64::from((bits >> 3) & 7 == 0);
+                    let channel = (bits >> 6) % channels as u64;
+                    let column = (bits >> 8) & 15;
+                    let bank_bits = ((row << 1 | rank) << 3 | bank) << ch_bits | channel;
+                    let addr = (bank_bits << 10) | (column * 64);
+                    let kind = if bits & 16 == 0 {
+                        AccessKind::Read
+                    } else {
+                        AccessKind::Write
+                    };
+                    // Coarse arrivals, so ties fall to the id key.
+                    let at = t(ns - ns % 40);
+                    let (ch, id) = fast.enqueue_classed(at, addr, kind, class);
+                    slow[ch].enqueue(id, at, decode(&cfg, addr), kind, class);
+                    pending.push((ch, id));
+                }
+            }
+            let got = drained(&mut fast);
+            let want: Vec<(usize, Completion)> = slow
+                .iter_mut()
+                .enumerate()
+                .flat_map(|(ch, o)| o.completions.drain(..).map(move |c| (ch, c)))
+                .collect();
+            assert_eq!(got, want);
+            pending.retain(|(_, id)| !got.iter().any(|(_, c)| c.id == *id));
+        }
+        fast.run_until(Time::from_ps(u64::MAX));
+        for (ch, o) in slow.iter_mut().enumerate() {
+            o.run_until(Time::from_ps(u64::MAX));
+            let shard = fast.shard_mut(ch);
+            assert_eq!(shard.take_completions(), o.completions);
+            assert_eq!(shard.take_cell_writes(), o.cell_writes);
+            assert_eq!(shard.queue_depth(), 0);
+            for (a, b) in [
+                (format!("{:?}", shard.stats()), format!("{:?}", o.stats)),
+                (
+                    format!("{:?}", shard.channel_stats()),
+                    format!("{:?}", o.channel_stats),
+                ),
+                (
+                    format!("{:?}", shard.bank_stats()),
+                    format!("{:?}", o.bank_stats),
+                ),
+                (
+                    format!("{:?}", shard.depth_histogram()),
+                    format!("{:?}", o.depth_hist),
+                ),
+            ] {
+                assert_eq!(a, b);
+            }
+        }
+        fast.stats()
+    }
+
+    /// A long fixed stream must agree with the oracle while exercising
+    /// every path the picker caches: reorders, adaptive closes (with
+    /// dirty write-backs), and starvation promotions.
+    #[test]
+    fn lane_picker_matches_full_scan_oracle_on_a_long_stream() {
+        let mut rng = proptest::TestRng::for_case("lane-picker-long-stream", 0);
+        let ops: Vec<Op> = (0..4000)
+            .map(|_| {
+                (
+                    rng.next_u64(),
+                    rng.below(3) as u8,
+                    rng.below(60_000),
+                    rng.below(10) as u8,
+                )
+            })
+            .collect();
+        for channels in [1, 2, 4] {
+            for limit in [1, 3, 16] {
+                let stats = differential(channels, limit, &ops);
+                assert!(stats.reordered.get() > 0);
+                assert!(stats.adaptive_closes.get() > 0);
+                assert!(stats.starvation_promotions.get() > 0);
+            }
+        }
     }
 
     proptest::proptest! {
@@ -1078,11 +1323,23 @@ mod tests {
                 ids.insert(id);
             }
             s.run_until(t(10_000_000));
-            let done = s.take_completions();
+            let done = drained(&mut s);
             proptest::prop_assert_eq!(done.len(), ids.len());
             let completed: std::collections::HashSet<_> = done.iter().map(|(_, c)| c.id).collect();
             proptest::prop_assert_eq!(completed, ids);
             proptest::prop_assert_eq!(s.queue_depth(), 0);
+        }
+
+        /// The lane picker against the full-scan oracle: classes 0–2,
+        /// rows colliding on a few banks, non-monotone arrivals,
+        /// starvation limits 1–16, interleaved `run_until` and
+        /// `run_until_completed`, on 1, 2 and 4 channels.
+        #[test]
+        fn lane_picker_matches_full_scan_oracle(
+            shape in (0u32..3, 1u32..17),
+            ops in proptest::collection::vec((0u64.., 0u8..3, 0u64..4000, 0u8..10), 1..160)
+        ) {
+            differential(1 << shape.0, shape.1, &ops);
         }
     }
 }

@@ -22,9 +22,9 @@
 //! * **posted write-backs** — phase-2 eviction writes are posted at the
 //!   read barrier and drain in the background, overlapping the *next*
 //!   access's reads;
-//! * **read barrier before commit** — completions are tracked with the
-//!   calendar event queue ([`EventQueue`]) and the functional stash
-//!   commit/eviction happens only at the last read completion, so an
+//! * **read barrier before commit** — the barrier is the latest read
+//!   completion (a max-fold over the batch's results), and the
+//!   functional stash commit/eviction happens only there, so an
 //!   out-of-order bucket read can never evict against a stale stash
 //!   snapshot. Functionally the controller drives the *same*
 //!   [`PathOram`] the serial oracle drives, consuming the same
@@ -41,7 +41,6 @@ use obfusmem_cpu::core::MemoryBackend;
 use obfusmem_mem::config::{BackendKind, MemConfig};
 use obfusmem_mem::device::PcmMemory;
 use obfusmem_mem::request::{AccessKind, BlockAddr};
-use obfusmem_sim::event::EventQueue;
 use obfusmem_sim::stats::RunningStats;
 use obfusmem_sim::time::Time;
 
@@ -254,19 +253,14 @@ impl CodesignOram {
             }
         }
 
-        // Phase 1: batched issue into the per-bank queues; the calendar
-        // event queue tracks completions and the last pop is the read
-        // barrier the stash commit waits on.
-        let results = self.mem.access_batch(start, &addrs, AccessKind::Read);
+        // Phase 1: batched issue into the per-bank queues; the latest
+        // read completion is the barrier the stash commit waits on.
+        let reads_done = self
+            .mem
+            .access_batch(start, &addrs, AccessKind::Read)
+            .iter()
+            .fold(start, |t, r| t.max(r.complete_at));
         self.reads_issued += addrs.len() as u64;
-        let mut completions = EventQueue::new();
-        for r in &results {
-            completions.push(r.complete_at, r.channel);
-        }
-        let mut reads_done = start;
-        while let Some((t, _channel)) = completions.pop() {
-            reads_done = reads_done.max(t);
-        }
 
         // Phase 2: write-backs are posted at the barrier and drain in
         // the background — the next access's reads overlap them in the
@@ -579,6 +573,87 @@ mod tests {
             (t, o.mean_access_ns().to_bits())
         };
         assert_eq!(run(), run());
+    }
+
+    /// Everything a co-designed run leaves behind that depends on the
+    /// controller's picks: timing, traffic, device accounting, and the
+    /// scheduler counters.
+    fn codesign_fingerprint(channels: usize) -> [u64; 13] {
+        let mem = MemConfig::table2().with_channels(channels);
+        let mut o = CodesignOram::new(cfg(12), mem, 1234).unwrap();
+        let mut rng = SplitMix64::new(99);
+        let mut t = Time::ZERO;
+        for i in 0..400u64 {
+            let addr = BlockAddr::from_index(rng.below(4096));
+            if i % 3 == 2 {
+                MemoryBackend::write(&mut o, t, addr);
+            } else {
+                t = MemoryBackend::read(&mut o, t, addr);
+            }
+        }
+        o.drain_posted();
+        let (reads, writes) = o.traffic();
+        let m = o.memory();
+        let (array_reads, array_writes) = m.array_ops();
+        let s = m.scheduler_stats().unwrap();
+        [
+            t.as_ps(),
+            o.mean_access_ns().to_bits(),
+            reads,
+            writes,
+            array_reads,
+            array_writes,
+            m.wear().total_writes(),
+            m.activation_counts().iter().sum(),
+            s.serviced.get(),
+            s.reordered.get(),
+            s.adaptive_closes.get(),
+            s.row_hits.get(),
+            s.starvation_promotions.get(),
+        ]
+    }
+
+    /// Known answers recorded from the full-scan FR-FCFS picker at L=12:
+    /// a faster picker must reproduce every pick, so every completion
+    /// time, device count and scheduler counter stays put.
+    #[test]
+    fn codesign_known_answers_at_l12() {
+        assert_eq!(
+            codesign_fingerprint(1),
+            [
+                561_470_000,
+                4_653_888_243_382_825_783,
+                35_200,
+                35_200,
+                9_384,
+                7_031,
+                7_031,
+                9_384,
+                70_400,
+                3_432,
+                8_246,
+                61_016,
+                0,
+            ]
+        );
+        assert_eq!(
+            codesign_fingerprint(2),
+            [
+                394_832_500,
+                4_651_893_674_314_458_720,
+                35_200,
+                35_200,
+                8_103,
+                6_541,
+                6_541,
+                8_103,
+                70_400,
+                1_432,
+                6_093,
+                62_297,
+                0,
+            ]
+        );
     }
 
     use obfusmem_testkit as proptest;

@@ -820,12 +820,13 @@ impl SessionFabric {
                     debug_assert_eq!(sch, channel, "steered address must land on its channel");
                     self.sched.run_until_completed(sch, id);
                     let mut done = now;
-                    for (c, comp) in self.sched.take_completions() {
+                    let span = &mut self.span;
+                    self.sched.drain_completions(|c, comp| {
                         if c == sch && comp.id == id {
                             done = comp.at;
                         }
-                        self.span = self.span.max(comp.at);
-                    }
+                        *span = (*span).max(comp.at);
+                    });
                     // Reply path: the module returns this tenant's (synthetic)
                     // stored block under the pair's reserved pads; the
                     // processor authenticates and decrypts it.
@@ -974,9 +975,9 @@ impl SessionFabric {
         }
         self.drained = true;
         self.sched.run_until(Time::from_ps(u64::MAX / 2));
-        for (_, comp) in self.sched.take_completions() {
-            self.span = self.span.max(comp.at);
-        }
+        let span = &mut self.span;
+        self.sched
+            .drain_completions(|_, comp| *span = (*span).max(comp.at));
     }
 
     /// End-of-run roll-up.
