@@ -956,7 +956,7 @@ impl Observable for FaultyLink {
 
 /// Obfuscates `delivery` on the processor engine (used both for the
 /// initial transmission and for the re-obfuscation after a re-key).
-fn obfuscate_for(
+pub(crate) fn obfuscate_for(
     proc: &mut ProcessorEngine,
     now: Time,
     channel: usize,
@@ -972,7 +972,7 @@ fn obfuscate_for(
 }
 
 /// Decodes an arrived frame on the memory engine, per delivery mode.
-fn receive_for(
+pub(crate) fn receive_for(
     mem: &mut MemoryEngine,
     delivery: Delivery<'_>,
     real: &BusPacket,
