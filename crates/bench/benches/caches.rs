@@ -5,7 +5,6 @@ use obfusmem_bench::{criterion_group, criterion_main};
 use obfusmem_cache::cache::{Cache, CacheOp};
 use obfusmem_cache::config::{CacheConfig, HierarchyConfig};
 use obfusmem_cache::hierarchy::CacheHierarchy;
-use obfusmem_cache::mesi::Directory;
 use obfusmem_sim::rng::SplitMix64;
 
 fn bench_single_cache(c: &mut Criterion) {
@@ -49,18 +48,5 @@ fn bench_hierarchy(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_mesi(c: &mut Criterion) {
-    let mut group = c.benchmark_group("mesi");
-    group.bench_function("four_core_ping_pong", |b| {
-        let mut d = Directory::new(4);
-        let mut core = 0usize;
-        b.iter(|| {
-            core = (core + 1) % 4;
-            std::hint::black_box(d.write(core, 0x40).len())
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_single_cache, bench_hierarchy, bench_mesi);
+criterion_group!(benches, bench_single_cache, bench_hierarchy);
 criterion_main!(benches);

@@ -9,8 +9,6 @@
 //! * [`hierarchy`] — a three-level private/private/shared hierarchy that
 //!   classifies each CPU access down to the LLC and emits the memory
 //!   traffic (fills and write-backs) the LLC generates.
-//! * [`mesi`] — a directory-based MESI coherence model for the four cores'
-//!   private caches over the shared L3.
 //! * [`mshr`] — miss-status holding registers bounding the memory-level
 //!   parallelism a core can expose.
 //!
@@ -21,5 +19,4 @@
 pub mod cache;
 pub mod config;
 pub mod hierarchy;
-pub mod mesi;
 pub mod mshr;

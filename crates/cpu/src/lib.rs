@@ -27,6 +27,5 @@
 
 pub mod core;
 pub mod l1stream;
-pub mod multicore;
 pub mod stream;
 pub mod workload;

@@ -5,7 +5,6 @@
 use obfusmem::cache::cache::CacheOp;
 use obfusmem::cache::config::HierarchyConfig;
 use obfusmem::cache::hierarchy::{CacheHierarchy, HitLevel};
-use obfusmem::cache::mesi::Directory;
 use obfusmem::core::config::SecurityLevel;
 use obfusmem::core::system::{System, SystemConfig};
 use obfusmem::cpu::l1stream::{L1Stream, L1StreamConfig};
@@ -59,32 +58,6 @@ fn friendly_stream_filters_to_low_mpki() {
     }
     let mpki = hierarchy.llc_counts().1 as f64 * 1000.0 / instructions as f64;
     assert!(mpki < 8.0, "friendly stream MPKI {mpki} too high");
-}
-
-#[test]
-fn mesi_directory_tracks_a_four_core_hierarchy() {
-    // Four cores share blocks through the directory; the combination of
-    // hierarchy hits and coherence messages must stay consistent.
-    let mut hierarchy = CacheHierarchy::new(HierarchyConfig::table2());
-    let mut directory = Directory::new(4);
-    for round in 0..100u64 {
-        for core in 0..4usize {
-            let addr = (round % 8) * 64;
-            let msgs = if round % 3 == 0 {
-                directory.write(core, addr)
-            } else {
-                directory.read(core, addr)
-            };
-            let op = if round % 3 == 0 {
-                CacheOp::Write
-            } else {
-                CacheOp::Read
-            };
-            let outcome = hierarchy.access(core, addr, op);
-            let _ = (msgs, outcome);
-            directory.check_invariants().expect("MESI invariants");
-        }
-    }
 }
 
 #[test]
