@@ -25,8 +25,8 @@
 //!   the pair's base — repairing [`CounterDesync`] without tearing the
 //!   session down — and then retransmits;
 //! * retransmissions back off exponentially in simulated time
-//!   (`ack_timeout << attempt`, capped), scheduled on the repo's
-//!   calendar [`EventQueue`];
+//!   (`ack_timeout << attempt`, capped), scheduled on a `(time, seq)`
+//!   [`EventQueue`];
 //! * repeated integrity failures escalate to a session re-key (both
 //!   ends derive the next key from the current one and the rekey
 //!   epoch), and repeated re-keys quarantine the channel: [`deliver`]
@@ -534,7 +534,7 @@ impl FaultyLink {
     }
 
     /// Carries one obfuscated request over the faulty bus, running the
-    /// full recovery protocol as a micro-simulation on a calendar
+    /// full recovery protocol as a micro-simulation on an
     /// [`EventQueue`] in simulated time.
     ///
     /// On success both engines have consumed exactly one request's pads
