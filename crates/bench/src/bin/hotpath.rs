@@ -6,9 +6,8 @@
 //!
 //! Measures the overhauled hot paths — the wide-block engine (the
 //! portable bitsliced tier pinned, and the auto-detected tier) against the
-//! scalar oracle, batched CTR pad generation, and the calendar event queue
-//! against a `BinaryHeap` reference — plus an end-to-end Figure 4 sweep
-//! A/B (scalar-forced vs default) and a no-op-recorder A/B (plain run vs
+//! scalar oracle and batched CTR pad generation — plus an end-to-end
+//! Figure 4 sweep A/B (scalar-forced vs default) and a no-op-recorder A/B (plain run vs
 //! disabled observability layer), and writes the numbers to
 //! `BENCH_hotpath.json` (override with `--out`).
 //!
@@ -28,8 +27,6 @@
 //! fail on a >10% drop, `--quick` runs (CI smoke on noisy shared VMs)
 //! only on a >50% drop.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 use obfusmem_bench::experiments::{fig4, fig4_average, Fig4Row};
@@ -42,9 +39,7 @@ use obfusmem_harness::measure::{
     run_point, run_point_nulltap, run_point_observed, PointSpec, Scheme,
 };
 use obfusmem_obs::trace::TraceHandle;
-use obfusmem_sim::event::EventQueue;
 use obfusmem_sim::rng::SplitMix64;
-use obfusmem_sim::time::Time;
 
 struct Options {
     quick: bool,
@@ -228,70 +223,6 @@ fn divergence_check_on(random_blocks: u32) -> Result<(), String> {
     Ok(())
 }
 
-/// Standing queue depth for the churn benchmark: a loaded 8-channel
-/// simulation keeps a few hundred events in flight.
-const QUEUE_DEPTH: u64 = 256;
-/// Pop-push cycles per churn pass: enough sustained churn that the
-/// steady state dominates each structure's one-time setup (allocating
-/// buckets / growing the heap), as it does in a real simulation where
-/// one long-lived queue carries millions of events.
-const QUEUE_CHURN: u64 = 16384;
-
-/// A memory-request-sized event record: what a channel simulation
-/// actually schedules (address, kind, pads, tags — one cache line).
-type EventRecord = [u64; 8];
-
-fn record(i: u64) -> EventRecord {
-    [i, i ^ 0xA5, i << 1, i >> 1, !i, i + 7, i * 3, i]
-}
-
-/// Pushes churn through the event queues; the same access pattern is
-/// replayed on ours and the BinaryHeap reference so the comparison is
-/// apples-to-apples.
-fn queue_churn_ours() -> u64 {
-    let mut q = EventQueue::new();
-    let mut rng = SplitMix64::new(7);
-    let mut acc = 0u64;
-    for i in 0..QUEUE_DEPTH {
-        q.push(Time::from_ps(rng.below(1000)), record(i));
-    }
-    for i in 0..QUEUE_CHURN {
-        let (t, v) = q.pop().expect("queue non-empty");
-        acc = acc.wrapping_add(v[0]);
-        q.push(
-            t + obfusmem_sim::time::Duration::from_ps(1 + rng.below(1000)),
-            record(i),
-        );
-    }
-    while let Some((_, v)) = q.pop() {
-        acc = acc.wrapping_add(v[0]);
-    }
-    acc
-}
-
-fn queue_churn_binaryheap() -> u64 {
-    // The pre-overhaul structure: the payload rides inside the heap
-    // entries and moves on every compare-and-swap.
-    let mut heap: BinaryHeap<Reverse<(u64, u64, EventRecord)>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut rng = SplitMix64::new(7);
-    let mut acc = 0u64;
-    for i in 0..QUEUE_DEPTH {
-        heap.push(Reverse((rng.below(1000), seq, record(i))));
-        seq += 1;
-    }
-    for i in 0..QUEUE_CHURN {
-        let Reverse((t, _, v)) = heap.pop().expect("queue non-empty");
-        acc = acc.wrapping_add(v[0]);
-        heap.push(Reverse((t + 1 + rng.below(1000), seq, record(i))));
-        seq += 1;
-    }
-    while let Some(Reverse((_, _, v))) = heap.pop() {
-        acc = acc.wrapping_add(v[0]);
-    }
-    acc
-}
-
 fn rows_identical(a: &[Fig4Row], b: &[Fig4Row]) -> bool {
     a.len() == b.len()
         && a.iter().zip(b).all(|(x, y)| {
@@ -393,15 +324,6 @@ fn main() {
     let mut eight_batch_stream = CtrStream::new(Aes128::new(&key), 99);
     let eight_batch_ns = measure_ns_budget(|| eight_batch_stream.next_pads::<8>(), budget);
 
-    // --- event queue churn ---
-    assert_eq!(
-        queue_churn_ours(),
-        queue_churn_binaryheap(),
-        "queue implementations must drain identical payload sums"
-    );
-    let q_heap_ns = measure_ns_budget(queue_churn_binaryheap, budget);
-    let q_ours_ns = measure_ns_budget(queue_churn_ours, budget);
-
     // --- end-to-end Figure 4 sweep A/B ---
     eprintln!(
         "# hotpath: fig4 sweep A/B (n={}, seed={})",
@@ -472,7 +394,7 @@ fn main() {
     let tap_overhead_pct = 100.0 * (tap_ms - plain_ms) / plain_ms;
 
     let json = JsonObject::new()
-        .string("schema", "obfusmem.bench_hotpath.v4")
+        .string("schema", "obfusmem.bench_hotpath.v5")
         .string("mode", if opts.quick { "quick" } else { "full" })
         .u64("instructions", opts.instructions)
         .u64("seed", opts.seed)
@@ -491,9 +413,6 @@ fn main() {
         .f64("eight_pads_sequential_ns", round3(eight_seq_ns))
         .f64("eight_pads_batched_ns", round3(eight_batch_ns))
         .f64("eight_pads_speedup", round3(eight_seq_ns / eight_batch_ns))
-        .f64("event_queue_binaryheap_ns", round3(q_heap_ns))
-        .f64("event_queue_calendar_ns", round3(q_ours_ns))
-        .f64("event_queue_speedup", round3(q_heap_ns / q_ours_ns))
         .f64("fig4_scalar_ms", round3(fig4_scalar_ms))
         .f64("fig4_wide_ms", round3(fig4_wide_ms))
         .f64("fig4_speedup", round3(fig4_scalar_ms / fig4_wide_ms))
@@ -534,10 +453,6 @@ fn main() {
         eight_seq_ns / eight_batch_ns
     );
     println!(
-        "event queue churn            binheap{q_heap_ns:8.1} ns   calndr {q_ours_ns:8.1} ns   {:.2}x",
-        q_heap_ns / q_ours_ns
-    );
-    println!(
         "fig4 sweep wall-clock        scalar {fig4_scalar_ms:8.1} ms   wide   {fig4_wide_ms:8.1} ms   {:.2}x",
         fig4_scalar_ms / fig4_wide_ms
     );
@@ -570,10 +485,6 @@ fn main() {
             GateMetric {
                 key: "eight_pads_speedup",
                 current: eight_seq_ns / eight_batch_ns,
-            },
-            GateMetric {
-                key: "event_queue_speedup",
-                current: q_heap_ns / q_ours_ns,
             },
             GateMetric {
                 key: "fig4_speedup",
