@@ -8,9 +8,8 @@
 //! * `result` — every read's completion time, `BackendStats`, each
 //!   channel's `bus_busy_ps`, the full metrics tree and the functional
 //!   store's contents, with no observer attached;
-//! * `traced` — the same digest with a buffered bus trace attached (an
-//!   attached trace also pushes injected dummies through the engines, so
-//!   on multi-channel machines it can differ from `result`);
+//! * `traced` — the same digest with a buffered bus trace attached;
+//!   observing the bus is passive, so it must equal `result`;
 //! * `spans` — the `obs` span sequence (track, name, start, end); the
 //!   span recorder is passive, so that run's result must equal `result`;
 //! * `events` — the bus-event sequence (time, channel, direction, wire
@@ -362,6 +361,12 @@ fn hash_event(h: &mut Fnv, ev: &BusEvent) {
 /// per-shape read/write functions before they were folded into one path.
 /// The three pad-starved uniform cases' `spans` were re-recorded when
 /// uniform requests gained the `pad-stall` span the other shapes emit.
+/// The four multi-channel cases whose `result` once differed from
+/// `traced` were re-recorded when injected dummy pairs began using up
+/// counters whether or not the bus is observed: the two fixed-address
+/// cases' `result` took the old `traced` value, and the two
+/// random-address cases changed throughout, because injected pairs no
+/// longer draw a random dummy address.
 #[rustfmt::skip]
 const PINS: &[(&str, u64, u64, u64, u64)] = &[
     ("unprotected-1ch", 0x5d67a378e71314a2, 0x5d67a378e71314a2, 0x0285c8e42204dbec, 0x41e766e78020587f),
@@ -372,23 +377,23 @@ const PINS: &[(&str, u64, u64, u64, u64)] = &[
     ("encrypt-only-2ch-device", 0x8636804c4992f0ef, 0x8636804c4992f0ef, 0x97d738bc7b5a6840, 0x68b2564515e5e940),
     ("pair-obf-1ch-starved", 0x131517f222c87fac, 0x131517f222c87fac, 0x1e8c1d9407eeb2e1, 0x97cad1ecb1dcec80),
     ("pair-auth-1ch", 0xc80260cf56a10fa2, 0xc80260cf56a10fa2, 0x3f0d41fe35d84798, 0x64468090474c7a0c),
-    ("pair-auth-2ch-wtr-slots-random-etm", 0xf33396bfa1b25405, 0x2d53d86d9075d27c, 0x030a3779a209f171, 0x9dac6b3296ad3d9d),
+    ("pair-auth-2ch-wtr-slots-random-etm", 0xf1389c8cc973a129, 0xf1389c8cc973a129, 0xc85c7f845ec1e4aa, 0x905a49c361efd48d),
     ("pair-auth-4ch-original-unopt", 0xa22d7582ad1f271e, 0xa22d7582ad1f271e, 0x09812019b2876d05, 0xab64e8231285da26),
     ("pair-obf-2ch-queued-wtr", 0x13c7b597e9eb4d02, 0x13c7b597e9eb4d02, 0xb744378785731771, 0x9044fe8fe3887711),
     ("pair-auth-2ch-link", 0x211163a61d07b21f, 0x211163a61d07b21f, 0x49062dae66d93f35, 0x82c3d4867108d14a),
     ("pair-auth-1ch-device", 0x2feebc4da577d78d, 0x2feebc4da577d78d, 0x36940dd5fa81cc11, 0x63042a9cba518b54),
     ("pair-auth-2ch-quarantine", 0x2cfc989cd7add9e6, 0x2cfc989cd7add9e6, 0xc82b48a4c7cf27da, 0xd724193a6c48f68a),
     ("subst-auth-1ch", 0x04e9a21b07572b03, 0x04e9a21b07572b03, 0xb9719335c180cdb3, 0xb24d6c86e66085c8),
-    ("subst-obf-2ch-slots-random-etm", 0x71e46065965f9d6b, 0x8e3d93462aeade6f, 0x6eaf5fd88a6d6f0d, 0x1c31efa0c9601211),
+    ("subst-obf-2ch-slots-random-etm", 0xa99fdc44f90ae8e0, 0xa99fdc44f90ae8e0, 0xaaed8a3712e09f31, 0xc658f5cc11a165b5),
     ("subst-auth-4ch-queued-wtr", 0xf277067727cc8b20, 0xf277067727cc8b20, 0xe732517ae23d9706, 0xfbbf865d63d7f25b),
     ("subst-auth-2ch-link", 0x07ffdf8d16b8342e, 0x07ffdf8d16b8342e, 0x110ca84aa2cf6307, 0x0d57fe8c1288b7b1),
     ("subst-auth-1ch-device", 0x6b36d1ae19235546, 0x6b36d1ae19235546, 0x0164f92146a419f7, 0xcd6f199c4347bffa),
     ("uniform-auth-1ch", 0xadbef9464022c8e7, 0xadbef9464022c8e7, 0xb9e8123d4f495eec, 0x35a491e978f827de),
     ("uniform-auth-1ch-starved", 0x6a3cf5a6f1a78a02, 0x6a3cf5a6f1a78a02, 0x08ea645d4fdbbf7e, 0x60377399ad67c20f),
     ("uniform-obf-4ch-slots-etm", 0xf5441489e8d6b905, 0xf5441489e8d6b905, 0xea57c13d9bfcb54c, 0x11c858e234006376),
-    ("uniform-auth-2ch-queued-starved", 0xd8325e86b2a038b4, 0x5b80c3ae3061fe9d, 0x989906e64465455f, 0xc9378850195de0c9),
+    ("uniform-auth-2ch-queued-starved", 0x5b80c3ae3061fe9d, 0x5b80c3ae3061fe9d, 0x95424ad599f1ad29, 0xc9378850195de0c9),
     ("uniform-auth-1ch-link", 0x2720981c524aab79, 0x2720981c524aab79, 0x00abfdfcf045be5e, 0x9619818e95337385),
-    ("uniform-obf-2ch-device", 0x49ff89192ca152b4, 0xedbecfb7989d6e93, 0x265004b27805ae51, 0x19b2343fd772f201),
+    ("uniform-obf-2ch-device", 0xedbecfb7989d6e93, 0xedbecfb7989d6e93, 0x55e531b9a4a3a0a1, 0x19b2343fd772f201),
 ];
 
 fn counter(m: &MetricsNode, path: &str) -> u64 {
@@ -407,6 +412,11 @@ fn every_request_path_matches_its_known_answers() {
         assert_eq!(
             off.result, spans.result,
             "{}: the span recorder changed simulated results",
+            c.name
+        );
+        assert_eq!(
+            off.result, bus.result,
+            "{}: the bus trace changed simulated results",
             c.name
         );
         let got = (c.name, off.result, bus.result, spans.spans, bus.events);
