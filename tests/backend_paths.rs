@@ -442,6 +442,10 @@ fn every_request_path_matches_its_known_answers() {
         hit("link faults", counter(m, "link.faults_injected"));
         hit("link quarantines", counter(m, "link.quarantines"));
         hit("device faults", counter(m, "recovery.detected"));
+        hit("device retries", counter(m, "recovery.retried"));
+        hit("device resyncs", counter(m, "recovery.resynced"));
+        hit("device migrations", counter(m, "recovery.migrated"));
+        hit("device quarantines", counter(m, "recovery.quarantined"));
         match c.cfg.type_hiding {
             TypeHiding::SplitDummyWithSubstitution => {
                 hit("substitution overflow writes", bus.paired_writes)
