@@ -122,6 +122,24 @@ fn err(msg: impl Into<String>) -> SpecError {
     SpecError(msg.into())
 }
 
+/// One two-part grid axis in canonical order: `kinds × rates`, kind
+/// major, each pair built by `point`; or the single `None` point (the
+/// axis disengaged) when no kind is swept.
+fn cross<K: Copy, R: Copy, P>(
+    kinds: &[K],
+    rates: &[R],
+    point: impl Fn(K, R) -> P,
+) -> Vec<Option<P>> {
+    if kinds.is_empty() {
+        return vec![None];
+    }
+    let point = &point;
+    kinds
+        .iter()
+        .flat_map(|&k| rates.iter().map(move |&r| Some(point(k, r))))
+        .collect()
+}
+
 impl SweepSpec {
     /// Number of jobs the grid expands to. Only the `oram` scheme fans
     /// out over the ORAM-mode axis, so the scheme axis contributes
@@ -132,9 +150,9 @@ impl SweepSpec {
             * scheme_rows
             * self.channels.len()
             * self.backends.len()
-            * self.fault_point_count()
-            * self.device_point_count()
-            * self.leakage_point_count()
+            * self.fault_points().len()
+            * self.device_points().len()
+            * self.leakage_points().len()
             * self.replicates as usize
     }
 
@@ -150,75 +168,30 @@ impl SweepSpec {
         }
     }
 
-    /// Fault-grid points per `(workload, scheme, channels)` cell: the
-    /// kinds × rates cross, or 1 for the fault-free sweep.
-    fn fault_point_count(&self) -> usize {
-        if self.fault_kinds.is_empty() {
-            1
-        } else {
-            self.fault_kinds.len() * self.fault_rates.len()
-        }
-    }
-
-    /// The fault axis values in canonical order (`None` = fault-free).
+    /// The link-fault axis values in canonical order (`None` =
+    /// fault-free).
     fn fault_points(&self) -> Vec<Option<(FaultKind, f64)>> {
-        if self.fault_kinds.is_empty() {
-            return vec![None];
-        }
-        let mut points = Vec::with_capacity(self.fault_point_count());
-        for &kind in &self.fault_kinds {
-            for &rate in &self.fault_rates {
-                points.push(Some((kind, rate)));
-            }
-        }
-        points
-    }
-
-    /// Device-fault points per grid cell, or 1 for the clean sweep.
-    fn device_point_count(&self) -> usize {
-        if self.device_fault_kinds.is_empty() {
-            1
-        } else {
-            self.device_fault_kinds.len() * self.device_fault_rates.len()
-        }
+        cross(&self.fault_kinds, &self.fault_rates, |kind, rate| {
+            (kind, rate)
+        })
     }
 
     /// The device-fault axis values (`None` = pristine array).
     fn device_points(&self) -> Vec<Option<(DeviceFaultKind, f64)>> {
-        if self.device_fault_kinds.is_empty() {
-            return vec![None];
-        }
-        let mut points = Vec::with_capacity(self.device_point_count());
-        for &kind in &self.device_fault_kinds {
-            for &rate in &self.device_fault_rates {
-                points.push(Some((kind, rate)));
-            }
-        }
-        points
-    }
-
-    /// Leakage-attacker points per grid cell, or 1 for the unobserved
-    /// sweep.
-    fn leakage_point_count(&self) -> usize {
-        if self.leakage_windows.is_empty() {
-            1
-        } else {
-            self.leakage_windows.len() * self.leakage_squeezes.len()
-        }
+        cross(
+            &self.device_fault_kinds,
+            &self.device_fault_rates,
+            |kind, rate| (kind, rate),
+        )
     }
 
     /// The leakage axis values (`None` = no attacker attached).
     fn leakage_points(&self) -> Vec<Option<LeakagePoint>> {
-        if self.leakage_windows.is_empty() {
-            return vec![None];
-        }
-        let mut points = Vec::with_capacity(self.leakage_point_count());
-        for &window in &self.leakage_windows {
-            for &squeeze in &self.leakage_squeezes {
-                points.push(Some(LeakagePoint { window, squeeze }));
-            }
-        }
-        points
+        cross(
+            &self.leakage_windows,
+            &self.leakage_squeezes,
+            |window, squeeze| LeakagePoint { window, squeeze },
+        )
     }
 
     /// Validates the axes and expands the grid in canonical order.
@@ -331,15 +304,20 @@ impl SweepSpec {
                 }
             }
         }
+        let (faults, devices, leaks) = (
+            self.fault_points(),
+            self.device_points(),
+            self.leakage_points(),
+        );
         let mut jobs = Vec::with_capacity(self.job_count());
         for workload in &self.workloads {
             for &scheme in &self.schemes {
                 for &oram_mode in self.modes_for(scheme) {
                     for &channels in &self.channels {
                         for &backend in &self.backends {
-                            for fault in self.fault_points() {
-                                for device_fault in self.device_points() {
-                                    for leakage in self.leakage_points() {
+                            for &fault in &faults {
+                                for &device_fault in &devices {
+                                    for &leakage in &leaks {
                                         for replicate in 0..self.replicates {
                                             let id = JobSpec::make_mode_id(
                                                 workload,
