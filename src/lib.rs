@@ -17,7 +17,7 @@
 //! | [`oram`] | `obfusmem-oram` | Path ORAM baseline (functional + fixed-latency model) |
 //! | [`crypto`] | `obfusmem-crypto` | AES-128/CTR, MD5, SHA-1, DH, RSA identities |
 //! | [`mem`] | `obfusmem-mem` | PCM device model (Table 2 machine) |
-//! | [`cache`] | `obfusmem-cache` | L1/L2/L3 + MESI + MSHRs + counter cache |
+//! | [`cache`] | `obfusmem-cache` | L1/L2/L3 + MSHRs + counter cache |
 //! | [`cpu`] | `obfusmem-cpu` | trace-driven core + Table 1 workloads |
 //! | [`sec`] | `obfusmem-sec` | leakage analyses, tamper campaigns, Table 4 |
 //! | [`sim`] | `obfusmem-sim` | event kernel, deterministic RNG, stats |
