@@ -26,10 +26,7 @@ use std::process::ExitCode;
 
 use obfusmem_harness::runner::{effective_threads, run_sweep, RunOptions};
 use obfusmem_harness::serve::{run_serve, verify_single, ServeSpec};
-use obfusmem_harness::spec::{
-    parse_backends, parse_device_fault_kinds, parse_fault_kinds, parse_oram_modes, parse_schemes,
-    parse_u64, parse_workloads, SweepSpec,
-};
+use obfusmem_harness::spec::{flag_key, parse_u64, SweepSpec};
 use obfusmem_tenant::fabric::DhStrength;
 
 struct Cli {
@@ -431,94 +428,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, String> {
                     .map_err(|e| format!("cannot read {path}: {e}"))?;
                 cli.spec = SweepSpec::parse(&text).map_err(|e| e.to_string())?;
             }
-            "--workloads" => {
-                cli.spec.workloads = parse_workloads(&next_value("--workloads", &mut args)?);
-            }
-            "--schemes" => {
-                cli.spec.schemes = parse_schemes(&next_value("--schemes", &mut args)?)
-                    .map_err(|e| e.to_string())?;
-            }
-            "--channels" => {
-                let v = next_value("--channels", &mut args)?;
-                cli.spec.channels = v
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(|s| s.parse().map_err(|_| format!("bad channel count {s:?}")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--backend" | "--backends" => {
-                cli.spec.backends = parse_backends(&next_value("--backend", &mut args)?)
-                    .map_err(|e| e.to_string())?;
-            }
-            "--oram-mode" | "--oram-modes" => {
-                cli.spec.oram_modes = parse_oram_modes(&next_value("--oram-mode", &mut args)?)
-                    .map_err(|e| e.to_string())?;
-            }
-            "--replicates" => {
-                let v = next_value("--replicates", &mut args)?;
-                cli.spec.replicates = v.parse().map_err(|_| format!("bad replicates {v:?}"))?;
-            }
-            "--master-seed" => {
-                let v = next_value("--master-seed", &mut args)?;
-                cli.spec.master_seed = parse_u64(&v).map_err(|e| e.to_string())?;
-            }
-            "--fault-kinds" => {
-                cli.spec.fault_kinds = parse_fault_kinds(&next_value("--fault-kinds", &mut args)?)
-                    .map_err(|e| e.to_string())?;
-            }
-            "--fault-rates" => {
-                let v = next_value("--fault-rates", &mut args)?;
-                cli.spec.fault_rates = v
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(|s| s.parse().map_err(|_| format!("bad fault rate {s:?}")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--fault-seed" => {
-                let v = next_value("--fault-seed", &mut args)?;
-                cli.spec.fault_seed = parse_u64(&v).map_err(|e| e.to_string())?;
-            }
-            "--device-fault-kinds" => {
-                cli.spec.device_fault_kinds =
-                    parse_device_fault_kinds(&next_value("--device-fault-kinds", &mut args)?)
-                        .map_err(|e| e.to_string())?;
-            }
-            "--device-fault-rates" => {
-                let v = next_value("--device-fault-rates", &mut args)?;
-                cli.spec.device_fault_rates = v
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(|s| {
-                        s.parse()
-                            .map_err(|_| format!("bad device fault rate {s:?}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--device-fault-seed" => {
-                let v = next_value("--device-fault-seed", &mut args)?;
-                cli.spec.device_fault_seed = parse_u64(&v).map_err(|e| e.to_string())?;
-            }
-            "--leakage-windows" => {
-                let v = next_value("--leakage-windows", &mut args)?;
-                cli.spec.leakage_windows = v
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(|s| s.parse().map_err(|_| format!("bad leakage window {s:?}")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--leakage-squeezes" => {
-                let v = next_value("--leakage-squeezes", &mut args)?;
-                cli.spec.leakage_squeezes = v
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(|s| s.parse().map_err(|_| format!("bad leakage squeeze {s:?}")))
-                    .collect::<Result<_, _>>()?;
-            }
             "--leak-ceiling" => {
                 let v = next_value("--leak-ceiling", &mut args)?;
                 cli.opts.leak_ceiling = v.parse().map_err(|_| format!("bad leak ceiling {v:?}"))?;
@@ -526,10 +435,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, String> {
             "--leak-floor" => {
                 let v = next_value("--leak-floor", &mut args)?;
                 cli.opts.leak_floor = v.parse().map_err(|_| format!("bad leak floor {v:?}"))?;
-            }
-            "-n" | "--instructions" => {
-                let v = next_value("--instructions", &mut args)?;
-                cli.spec.instructions = parse_u64(&v).map_err(|e| e.to_string())?;
             }
             "--out" => cli.out = PathBuf::from(next_value("--out", &mut args)?),
             "--metrics-out" => {
@@ -550,7 +455,12 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, String> {
                 println!("{USAGE}");
                 std::process::exit(0);
             }
-            other => return Err(format!("unknown argument {other:?}")),
+            // Every other flag names a spec key.
+            flag => {
+                let key = flag_key(flag).ok_or_else(|| format!("unknown argument {flag:?}"))?;
+                let value = next_value(flag, &mut args)?;
+                cli.spec.set(&key, &value).map_err(|e| e.to_string())?;
+            }
         }
     }
     Ok(cli)

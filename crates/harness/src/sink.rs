@@ -231,7 +231,7 @@ mod tests {
     use crate::measure::Scheme;
 
     fn sample_output() -> JobOutput {
-        let id = JobSpec::make_id("micro", Scheme::Unprotected, 1, 0);
+        let id = "micro/unprotected/c1/r0".to_string();
         let seed = derive_seed(1, &id);
         run_job(&JobSpec {
             id,
@@ -260,7 +260,7 @@ mod tests {
     #[test]
     fn fault_rows_carry_recovery_fields_and_clean_rows_do_not() {
         use obfusmem_core::link::FaultKind;
-        let id = JobSpec::make_fault_id("micro", Scheme::ObfusmemAuth, 1, FaultKind::Drop, 0.01, 0);
+        let id = "micro/obfusmem-auth/c1/drop@0.01/r0".to_string();
         let out = run_job(&JobSpec {
             id: id.clone(),
             workload: "micro".into(),
@@ -291,15 +291,7 @@ mod tests {
     #[test]
     fn device_fault_rows_carry_dev_recovery_fields_and_clean_rows_do_not() {
         use obfusmem_mem::fault::DeviceFaultKind;
-        let id = JobSpec::make_chaos_id(
-            "micro",
-            Scheme::ObfusmemAuth,
-            1,
-            BackendKind::Reservation,
-            None,
-            Some((DeviceFaultKind::BitFlip, 0.02)),
-            0,
-        );
+        let id = "micro/obfusmem-auth/c1/dram-bit-flip@0.02/r0".to_string();
         let out = run_job(&JobSpec {
             id: id.clone(),
             workload: "micro".into(),
@@ -334,16 +326,7 @@ mod tests {
             window: 128,
             squeeze: 1.0,
         };
-        let id = JobSpec::make_attack_id(
-            "micro",
-            Scheme::Unprotected,
-            1,
-            BackendKind::Reservation,
-            None,
-            None,
-            Some(leak),
-            0,
-        );
+        let id = "micro/unprotected/c1/leak-w128/r0".to_string();
         let out = run_job(&JobSpec {
             id: id.clone(),
             workload: "micro".into(),
@@ -373,14 +356,7 @@ mod tests {
 
     #[test]
     fn queued_rows_carry_scheduler_fields_and_reservation_rows_do_not() {
-        let id = JobSpec::make_full_id(
-            "micro",
-            Scheme::ObfusmemAuth,
-            1,
-            BackendKind::Queued,
-            None,
-            0,
-        );
+        let id = "micro/obfusmem-auth/c1/queued/r0".to_string();
         let out = run_job(&JobSpec {
             id: id.clone(),
             workload: "micro".into(),
@@ -411,18 +387,7 @@ mod tests {
 
     #[test]
     fn oram_mode_rows_carry_mode_fields_and_default_rows_do_not() {
-        let id = JobSpec::make_mode_id(
-            "micro",
-            Scheme::OramModel,
-            OramMode::Codesign,
-            1,
-            BackendKind::Reservation,
-            None,
-            None,
-            None,
-            0,
-        );
-        assert_eq!(id, "micro/oram/c1/oram-codesign/r0");
+        let id = "micro/oram/c1/oram-codesign/r0".to_string();
         let out = run_job(&JobSpec {
             id: id.clone(),
             workload: "micro".into(),

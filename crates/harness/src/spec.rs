@@ -1,14 +1,13 @@
 //! Declarative sweep specifications.
 //!
-//! A [`SweepSpec`] names the axes of a cartesian grid — workloads ×
-//! schemes × channel counts × replicates — plus the master seed and
-//! instruction budget. [`SweepSpec::expand`] flattens it into the
-//! canonical job list: workload-major, then scheme, channels, replicate.
-//! That order is part of the format: result files are written in it, and
-//! resume compares against it.
+//! A [`SweepSpec`] names the axes of a cartesian grid plus the master
+//! seed and instruction budget. [`SweepSpec::expand`] flattens it into
+//! the canonical job list; the axis order is stated once, at [`Axes`].
 //!
 //! Specs can also be read from a tiny `key = value` text format (see
-//! [`SweepSpec::parse`]), documented in `EXPERIMENTS.md`:
+//! [`SweepSpec::parse`]), documented in `EXPERIMENTS.md`. Every key is
+//! also a `sweep` flag ([`flag_key`]), and both set it through
+//! [`SweepSpec::set`]:
 //!
 //! ```text
 //! # Table 3 grid, 3 seeds per point
@@ -20,10 +19,13 @@
 //! instructions = 2000000
 //! ```
 
-use obfusmem_core::link::FaultKind;
+use std::collections::HashSet;
+use std::str::FromStr;
+
+use obfusmem_core::link::{FaultKind, ALL_FAULT_KINDS};
 use obfusmem_cpu::workload::table1_workloads;
 use obfusmem_mem::config::BackendKind;
-use obfusmem_mem::fault::DeviceFaultKind;
+use obfusmem_mem::fault::{DeviceFaultKind, ALL_DEVICE_FAULT_KINDS};
 
 use crate::job::{derive_seed, JobSpec};
 use crate::measure::{workload_by_name, LeakagePoint, OramMode, Scheme};
@@ -83,10 +85,7 @@ impl Default for SweepSpec {
     /// set (with the unprotected baseline), one channel, one replicate.
     fn default() -> Self {
         SweepSpec {
-            workloads: table1_workloads()
-                .iter()
-                .map(|w| w.name.to_string())
-                .collect(),
+            workloads: parse_workloads("all"),
             schemes: Scheme::TABLE3.to_vec(),
             channels: vec![1],
             backends: vec![BackendKind::Reservation],
@@ -140,62 +139,119 @@ fn cross<K: Copy, R: Copy, P>(
         .collect()
 }
 
-impl SweepSpec {
-    /// Number of jobs the grid expands to. Only the `oram` scheme fans
-    /// out over the ORAM-mode axis, so the scheme axis contributes
-    /// `non-oram schemes + oram_modes per oram scheme` rows.
-    pub fn job_count(&self) -> usize {
-        let scheme_rows: usize = self.schemes.iter().map(|&s| self.modes_for(s).len()).sum();
-        self.workloads.len()
-            * scheme_rows
-            * self.channels.len()
-            * self.backends.len()
-            * self.fault_points().len()
-            * self.device_points().len()
-            * self.leakage_points().len()
-            * self.replicates as usize
+/// The expansion table: a grid's values on each axis, in canonical
+/// order, slowest first — workload, scheme and ORAM mode (only the
+/// `oram` scheme fans out over modes), channels, backend, link fault,
+/// device fault, leakage, replicate. That order is part of the format:
+/// result files are written in it, and resume compares against it.
+struct Axes<'a> {
+    workloads: &'a [String],
+    schemes: Vec<(Scheme, OramMode)>,
+    channels: &'a [usize],
+    backends: &'a [BackendKind],
+    faults: Vec<Option<(FaultKind, f64)>>,
+    device_faults: Vec<Option<(DeviceFaultKind, f64)>>,
+    leakage: Vec<Option<LeakagePoint>>,
+    replicates: u32,
+}
+
+impl Axes<'_> {
+    fn radices(&self) -> [usize; 8] {
+        [
+            self.workloads.len(),
+            self.schemes.len(),
+            self.channels.len(),
+            self.backends.len(),
+            self.faults.len(),
+            self.device_faults.len(),
+            self.leakage.len(),
+            self.replicates as usize,
+        ]
     }
 
-    /// The ORAM-mode axis values a scheme fans out over: the full axis
-    /// for the `oram` scheme, the single default mode for everything
-    /// else (a non-ORAM scheme has no ORAM path to re-model).
-    fn modes_for(&self, scheme: Scheme) -> &[OramMode] {
-        if scheme == Scheme::OramModel {
-            &self.oram_modes
-        } else {
-            const FIXED: [OramMode; 1] = [OramMode::Fixed];
-            &FIXED
+    fn len(&self) -> usize {
+        self.radices().iter().product()
+    }
+
+    /// The axis values of grid position `i`, read as a mixed-radix
+    /// number with the replicate as its last digit. Id and seeds are
+    /// left for [`SweepSpec::expand`] to derive.
+    fn job(&self, mut i: usize, instructions: u64) -> JobSpec {
+        let mut digits = [0; 8];
+        for (digit, radix) in digits.iter_mut().zip(self.radices()).rev() {
+            *digit = i % radix;
+            i /= radix;
+        }
+        let [w, s, c, b, f, d, l, r] = digits;
+        let (scheme, oram_mode) = self.schemes[s];
+        JobSpec {
+            id: String::new(),
+            workload: self.workloads[w].clone(),
+            scheme,
+            channels: self.channels[c],
+            backend: self.backends[b],
+            instructions,
+            replicate: r as u32,
+            seed: 0,
+            fault: self.faults[f],
+            fault_seed: 0,
+            device_fault: self.device_faults[d],
+            device_fault_seed: 0,
+            leakage: self.leakage[l],
+            oram_mode,
+        }
+    }
+}
+
+/// Checks a fault axis's rates: at least one, each in `(0, 1]`.
+fn check_rates(rates: &[f64], what: &str) -> Result<(), SpecError> {
+    if rates.is_empty() {
+        return Err(err(format!("{what} kinds given but no {what} rates")));
+    }
+    if let Some(r) = rates.iter().find(|&&r| !(r > 0.0 && r <= 1.0)) {
+        return Err(err(format!("{what} rate must be in (0, 1], got {r}")));
+    }
+    Ok(())
+}
+
+impl SweepSpec {
+    /// Number of jobs the grid expands to.
+    pub fn job_count(&self) -> usize {
+        self.axes().len()
+    }
+
+    fn axes(&self) -> Axes<'_> {
+        let modes_for = |scheme| match scheme {
+            // A non-ORAM scheme has no ORAM path to re-model.
+            Scheme::OramModel => self.oram_modes.as_slice(),
+            _ => &[OramMode::Fixed],
+        };
+        Axes {
+            workloads: &self.workloads,
+            schemes: self
+                .schemes
+                .iter()
+                .flat_map(|&s| modes_for(s).iter().map(move |&m| (s, m)))
+                .collect(),
+            channels: &self.channels,
+            backends: &self.backends,
+            faults: cross(&self.fault_kinds, &self.fault_rates, |k, r| (k, r)),
+            device_faults: cross(
+                &self.device_fault_kinds,
+                &self.device_fault_rates,
+                |k, r| (k, r),
+            ),
+            leakage: cross(
+                &self.leakage_windows,
+                &self.leakage_squeezes,
+                |window, squeeze| LeakagePoint { window, squeeze },
+            ),
+            replicates: self.replicates,
         }
     }
 
-    /// The link-fault axis values in canonical order (`None` =
-    /// fault-free).
-    fn fault_points(&self) -> Vec<Option<(FaultKind, f64)>> {
-        cross(&self.fault_kinds, &self.fault_rates, |kind, rate| {
-            (kind, rate)
-        })
-    }
-
-    /// The device-fault axis values (`None` = pristine array).
-    fn device_points(&self) -> Vec<Option<(DeviceFaultKind, f64)>> {
-        cross(
-            &self.device_fault_kinds,
-            &self.device_fault_rates,
-            |kind, rate| (kind, rate),
-        )
-    }
-
-    /// The leakage axis values (`None` = no attacker attached).
-    fn leakage_points(&self) -> Vec<Option<LeakagePoint>> {
-        cross(
-            &self.leakage_windows,
-            &self.leakage_squeezes,
-            |window, squeeze| LeakagePoint { window, squeeze },
-        )
-    }
-
-    /// Validates the axes and expands the grid in canonical order.
-    pub fn expand(&self) -> Result<Vec<JobSpec>, SpecError> {
+    /// Rejects an empty or unsatisfiable axis.
+    fn validate(&self) -> Result<(), SpecError> {
         if self.workloads.is_empty() {
             return Err(err("no workloads"));
         }
@@ -211,15 +267,15 @@ impl SweepSpec {
         if self.instructions == 0 {
             return Err(err("instructions must be at least 1"));
         }
-        for w in &self.workloads {
-            if workload_by_name(w).is_none() {
-                return Err(err(format!("unknown workload {w:?}")));
-            }
+        if let Some(w) = self
+            .workloads
+            .iter()
+            .find(|w| workload_by_name(w).is_none())
+        {
+            return Err(err(format!("unknown workload {w:?}")));
         }
-        for &c in &self.channels {
-            if c == 0 || !c.is_power_of_two() {
-                return Err(err(format!("channels must be a power of two, got {c}")));
-            }
+        if let Some(c) = self.channels.iter().find(|c| !c.is_power_of_two()) {
+            return Err(err(format!("channels must be a power of two, got {c}")));
         }
         if self.backends.is_empty() {
             return Err(err("no backends"));
@@ -252,34 +308,19 @@ impl SweepSpec {
             ));
         }
         if !self.fault_kinds.is_empty() {
-            if self.fault_rates.is_empty() {
-                return Err(err("fault kinds given but no fault rates"));
-            }
-            for &r in &self.fault_rates {
-                if !(r.is_finite() && r > 0.0 && r <= 1.0) {
-                    return Err(err(format!("fault rate must be in (0, 1], got {r}")));
-                }
-            }
-            for &scheme in &self.schemes {
-                // Unprotected/EncryptOnly bypass the obfuscated link and
-                // the ORAM model replaces the memory path entirely — a
-                // fault sweep there would silently inject nothing.
-                if !matches!(scheme, Scheme::Obfusmem | Scheme::ObfusmemAuth) {
-                    return Err(err(format!(
-                        "scheme {scheme} has no ObfusMem link to inject faults into"
-                    )));
-                }
+            check_rates(&self.fault_rates, "fault")?;
+            // Unprotected/EncryptOnly bypass the obfuscated link and the
+            // ORAM model replaces the memory path entirely — a fault sweep
+            // there would silently inject nothing.
+            let linkless = |s: &&Scheme| !matches!(s, Scheme::Obfusmem | Scheme::ObfusmemAuth);
+            if let Some(scheme) = self.schemes.iter().find(linkless) {
+                return Err(err(format!(
+                    "scheme {scheme} has no ObfusMem link to inject faults into"
+                )));
             }
         }
         if !self.device_fault_kinds.is_empty() {
-            if self.device_fault_rates.is_empty() {
-                return Err(err("device fault kinds given but no device fault rates"));
-            }
-            for &r in &self.device_fault_rates {
-                if !(r.is_finite() && r > 0.0 && r <= 1.0) {
-                    return Err(err(format!("device fault rate must be in (0, 1], got {r}")));
-                }
-            }
+            check_rates(&self.device_fault_rates, "device fault")?;
             // Unlike link faults, device faults live in the array itself,
             // so every scheme with a real memory path can host them. Only
             // the ORAM model — which replaces the memory path — cannot.
@@ -290,81 +331,76 @@ impl SweepSpec {
             }
         }
         if !self.leakage_windows.is_empty() {
-            for &w in &self.leakage_windows {
-                if w == 0 {
-                    return Err(err("leakage window must be at least 1"));
-                }
+            if self.leakage_windows.contains(&0) {
+                return Err(err("leakage window must be at least 1"));
             }
             if self.leakage_squeezes.is_empty() {
                 return Err(err("leakage windows given but no leakage squeezes"));
             }
-            for &s in &self.leakage_squeezes {
-                if !(s.is_finite() && s >= 1.0) {
-                    return Err(err(format!("leakage squeeze must be >= 1.0, got {s}")));
-                }
+            if let Some(s) = self
+                .leakage_squeezes
+                .iter()
+                .find(|s| !(s.is_finite() && **s >= 1.0))
+            {
+                return Err(err(format!("leakage squeeze must be >= 1.0, got {s}")));
             }
         }
-        let (faults, devices, leaks) = (
-            self.fault_points(),
-            self.device_points(),
-            self.leakage_points(),
-        );
-        let mut jobs = Vec::with_capacity(self.job_count());
-        for workload in &self.workloads {
-            for &scheme in &self.schemes {
-                for &oram_mode in self.modes_for(scheme) {
-                    for &channels in &self.channels {
-                        for &backend in &self.backends {
-                            for &fault in &faults {
-                                for &device_fault in &devices {
-                                    for &leakage in &leaks {
-                                        for replicate in 0..self.replicates {
-                                            let id = JobSpec::make_mode_id(
-                                                workload,
-                                                scheme,
-                                                oram_mode,
-                                                channels,
-                                                backend,
-                                                fault,
-                                                device_fault,
-                                                leakage,
-                                                replicate,
-                                            );
-                                            let seed = derive_seed(self.master_seed, &id);
-                                            let fault_seed = match fault {
-                                                None => 0,
-                                                Some(_) => derive_seed(self.fault_seed, &id),
-                                            };
-                                            let device_fault_seed = match device_fault {
-                                                None => 0,
-                                                Some(_) => derive_seed(self.device_fault_seed, &id),
-                                            };
-                                            jobs.push(JobSpec {
-                                                id,
-                                                workload: workload.clone(),
-                                                scheme,
-                                                channels,
-                                                backend,
-                                                instructions: self.instructions,
-                                                replicate,
-                                                seed,
-                                                fault,
-                                                fault_seed,
-                                                device_fault,
-                                                device_fault_seed,
-                                                leakage,
-                                                oram_mode,
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+        Ok(())
+    }
+
+    /// Validates the axes and expands the grid in canonical order. A
+    /// grid that names one job twice (a repeated channel count, or two
+    /// spellings of one rate such as `0.001` and `1e-3`) is rejected:
+    /// resume would take both for one job.
+    pub fn expand(&self) -> Result<Vec<JobSpec>, SpecError> {
+        self.validate()?;
+        let axes = self.axes();
+        let mut ids = HashSet::new();
+        let mut jobs = Vec::with_capacity(axes.len());
+        for i in 0..axes.len() {
+            let mut job = axes.job(i, self.instructions);
+            job.id = job.axis_id();
+            if !ids.insert(job.id.clone()) {
+                return Err(err(format!("duplicate job id {:?}", job.id)));
             }
+            job.seed = derive_seed(self.master_seed, &job.id);
+            if job.fault.is_some() {
+                job.fault_seed = derive_seed(self.fault_seed, &job.id);
+            }
+            if job.device_fault.is_some() {
+                job.device_fault_seed = derive_seed(self.device_fault_seed, &job.id);
+            }
+            jobs.push(job);
         }
         Ok(jobs)
+    }
+
+    /// Sets one key from its text value. This is the only place a key
+    /// maps to a field: spec files ([`SweepSpec::parse`]) and `sweep`
+    /// flags ([`flag_key`]) both come through here.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), SpecError> {
+        match key {
+            "workloads" => self.workloads = parse_workloads(value),
+            "schemes" => self.schemes = parse_schemes(value)?,
+            "channels" => self.channels = parse_list(value, "channel count")?,
+            "backends" => self.backends = parse_backends(value)?,
+            "oram_modes" => self.oram_modes = parse_oram_modes(value)?,
+            "replicates" => self.replicates = parse_as(value, "replicates")?,
+            "master_seed" => self.master_seed = parse_u64(value)?,
+            "instructions" => self.instructions = parse_u64(value)?,
+            "fault_kinds" => self.fault_kinds = parse_fault_kinds(value)?,
+            "fault_rates" => self.fault_rates = parse_list(value, "fault rate")?,
+            "fault_seed" => self.fault_seed = parse_u64(value)?,
+            "device_fault_kinds" => self.device_fault_kinds = parse_device_fault_kinds(value)?,
+            "device_fault_rates" => {
+                self.device_fault_rates = parse_list(value, "device fault rate")?
+            }
+            "device_fault_seed" => self.device_fault_seed = parse_u64(value)?,
+            "leakage_windows" => self.leakage_windows = parse_list(value, "leakage window")?,
+            "leakage_squeezes" => self.leakage_squeezes = parse_list(value, "leakage squeeze")?,
+            other => return Err(err(format!("unknown key {other:?}"))),
+        }
+        Ok(())
     }
 
     /// Parses the `key = value` text format. Unknown keys are errors (a
@@ -379,72 +415,22 @@ impl SweepSpec {
             let (key, value) = line
                 .split_once('=')
                 .ok_or_else(|| err(format!("line {}: expected `key = value`", lineno + 1)))?;
-            let (key, value) = (key.trim(), value.trim());
-            match key {
-                "workloads" => spec.workloads = parse_workloads(value),
-                "schemes" => spec.schemes = parse_schemes(value)?,
-                "channels" => {
-                    spec.channels = split_list(value)
-                        .map(|v| {
-                            v.parse::<usize>()
-                                .map_err(|_| err(format!("bad channel count {v:?}")))
-                        })
-                        .collect::<Result<_, _>>()?
-                }
-                "backends" => spec.backends = parse_backends(value)?,
-                "oram_modes" => spec.oram_modes = parse_oram_modes(value)?,
-                "replicates" => {
-                    spec.replicates = value
-                        .parse()
-                        .map_err(|_| err(format!("bad replicates {value:?}")))?
-                }
-                "master_seed" => spec.master_seed = parse_u64(value)?,
-                "fault_kinds" => spec.fault_kinds = parse_fault_kinds(value)?,
-                "fault_rates" => {
-                    spec.fault_rates = split_list(value)
-                        .map(|v| {
-                            v.parse::<f64>()
-                                .map_err(|_| err(format!("bad fault rate {v:?}")))
-                        })
-                        .collect::<Result<_, _>>()?
-                }
-                "fault_seed" => spec.fault_seed = parse_u64(value)?,
-                "device_fault_kinds" => spec.device_fault_kinds = parse_device_fault_kinds(value)?,
-                "device_fault_rates" => {
-                    spec.device_fault_rates = split_list(value)
-                        .map(|v| {
-                            v.parse::<f64>()
-                                .map_err(|_| err(format!("bad device fault rate {v:?}")))
-                        })
-                        .collect::<Result<_, _>>()?
-                }
-                "device_fault_seed" => spec.device_fault_seed = parse_u64(value)?,
-                "leakage_windows" => {
-                    spec.leakage_windows = split_list(value)
-                        .map(|v| {
-                            v.parse::<usize>()
-                                .map_err(|_| err(format!("bad leakage window {v:?}")))
-                        })
-                        .collect::<Result<_, _>>()?
-                }
-                "leakage_squeezes" => {
-                    spec.leakage_squeezes = split_list(value)
-                        .map(|v| {
-                            v.parse::<f64>()
-                                .map_err(|_| err(format!("bad leakage squeeze {v:?}")))
-                        })
-                        .collect::<Result<_, _>>()?
-                }
-                "instructions" => {
-                    spec.instructions = value
-                        .replace('_', "")
-                        .parse()
-                        .map_err(|_| err(format!("bad instructions {value:?}")))?
-                }
-                other => return Err(err(format!("unknown key {other:?}"))),
-            }
+            spec.set(key.trim(), value.trim())?;
         }
         Ok(spec)
+    }
+}
+
+/// The spec key a `sweep` flag sets: `--foo-bar` sets `foo_bar`, and
+/// `--backend`, `--oram-mode` and `-n` are aliases of `backends`,
+/// `oram_modes` and `instructions`. `None` for an argument that is not a
+/// flag.
+pub fn flag_key(flag: &str) -> Option<String> {
+    match flag {
+        "-n" => Some("instructions".into()),
+        "--backend" => Some("backends".into()),
+        "--oram-mode" => Some("oram_modes".into()),
+        _ => flag.strip_prefix("--").map(|key| key.replace('-', "_")),
     }
 }
 
@@ -452,8 +438,36 @@ fn split_list(value: &str) -> impl Iterator<Item = &str> {
     value.split(',').map(str::trim).filter(|v| !v.is_empty())
 }
 
-/// `all` → the Table 1 set; otherwise a comma list of names.
-pub fn parse_workloads(value: &str) -> Vec<String> {
+/// One value; `what` names it in the error.
+fn parse_as<T: FromStr>(value: &str, what: &str) -> Result<T, SpecError> {
+    value
+        .parse()
+        .map_err(|_| err(format!("bad {what} {value:?}")))
+}
+
+/// A comma list of values.
+fn parse_list<T: FromStr>(value: &str, what: &str) -> Result<Vec<T>, SpecError> {
+    split_list(value).map(|v| parse_as(v, what)).collect()
+}
+
+/// A comma list of names, or `all` for every value of `all`.
+fn parse_names<T: Copy>(
+    value: &str,
+    all: &[T],
+    parse: fn(&str) -> Option<T>,
+    what: &str,
+) -> Result<Vec<T>, SpecError> {
+    if value == "all" {
+        return Ok(all.to_vec());
+    }
+    split_list(value)
+        .map(|v| parse(v).ok_or_else(|| err(format!("unknown {what} {v:?}"))))
+        .collect()
+}
+
+/// `all` → the Table 1 set; otherwise a comma list of names (checked
+/// by [`SweepSpec::expand`]).
+fn parse_workloads(value: &str) -> Vec<String> {
     if value == "all" {
         table1_workloads()
             .iter()
@@ -464,59 +478,32 @@ pub fn parse_workloads(value: &str) -> Vec<String> {
     }
 }
 
-/// Comma list of fault-kind names (`all` → every kind).
-pub fn parse_fault_kinds(value: &str) -> Result<Vec<FaultKind>, SpecError> {
-    if value == "all" {
-        return Ok(obfusmem_core::link::ALL_FAULT_KINDS.to_vec());
-    }
-    split_list(value)
-        .map(|v| FaultKind::parse(v).ok_or_else(|| err(format!("unknown fault kind {v:?}"))))
-        .collect()
+fn parse_fault_kinds(value: &str) -> Result<Vec<FaultKind>, SpecError> {
+    parse_names(value, &ALL_FAULT_KINDS, FaultKind::parse, "fault kind")
 }
 
-/// Comma list of device-fault-kind names (`all` → every kind).
-pub fn parse_device_fault_kinds(value: &str) -> Result<Vec<DeviceFaultKind>, SpecError> {
-    if value == "all" {
-        return Ok(obfusmem_mem::fault::ALL_DEVICE_FAULT_KINDS.to_vec());
-    }
-    split_list(value)
-        .map(|v| {
-            DeviceFaultKind::parse(v).ok_or_else(|| err(format!("unknown device fault kind {v:?}")))
-        })
-        .collect()
+fn parse_device_fault_kinds(value: &str) -> Result<Vec<DeviceFaultKind>, SpecError> {
+    parse_names(
+        value,
+        &ALL_DEVICE_FAULT_KINDS,
+        DeviceFaultKind::parse,
+        "device fault kind",
+    )
 }
 
-/// Comma list of backend names (`all` → every controller model).
-pub fn parse_backends(value: &str) -> Result<Vec<BackendKind>, SpecError> {
-    if value == "all" {
-        return Ok(BackendKind::ALL.to_vec());
-    }
-    split_list(value)
-        .map(|v| BackendKind::parse(v).ok_or_else(|| err(format!("unknown backend {v:?}"))))
-        .collect()
+fn parse_backends(value: &str) -> Result<Vec<BackendKind>, SpecError> {
+    parse_names(value, &BackendKind::ALL, BackendKind::parse, "backend")
 }
 
-/// Comma list of ORAM-mode names (`all` → every mode).
-pub fn parse_oram_modes(value: &str) -> Result<Vec<OramMode>, SpecError> {
-    if value == "all" {
-        return Ok(OramMode::ALL.to_vec());
-    }
-    split_list(value)
-        .map(|v| OramMode::parse(v).ok_or_else(|| err(format!("unknown oram mode {v:?}"))))
-        .collect()
+fn parse_oram_modes(value: &str) -> Result<Vec<OramMode>, SpecError> {
+    parse_names(value, &OramMode::ALL, OramMode::parse, "oram mode")
 }
 
-/// Comma list of scheme names (`all` → every scheme).
-pub fn parse_schemes(value: &str) -> Result<Vec<Scheme>, SpecError> {
-    if value == "all" {
-        return Ok(Scheme::ALL.to_vec());
-    }
-    split_list(value)
-        .map(|v| Scheme::parse(v).ok_or_else(|| err(format!("unknown scheme {v:?}"))))
-        .collect()
+fn parse_schemes(value: &str) -> Result<Vec<Scheme>, SpecError> {
+    parse_names(value, &Scheme::ALL, Scheme::parse, "scheme")
 }
 
-/// Decimal or `0x`-prefixed hex.
+/// Decimal or `0x`-prefixed hex, with optional `_` separators.
 pub fn parse_u64(value: &str) -> Result<u64, SpecError> {
     let cleaned = value.replace('_', "");
     let parsed = match cleaned.strip_prefix("0x") {
@@ -558,6 +545,29 @@ mod tests {
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), jobs.len());
+    }
+
+    #[test]
+    fn expansion_rejects_duplicate_job_ids() {
+        let mut s = tiny();
+        s.channels = vec![1, 1];
+        let e = s.expand().unwrap_err();
+        assert!(
+            e.to_string()
+                .contains(r#"duplicate job id "micro/unprotected/c1/r0""#),
+            "got: {e}"
+        );
+        // Two spellings of one rate name the same job.
+        let mut s = tiny();
+        s.schemes = vec![Scheme::Obfusmem];
+        s.fault_kinds = vec![FaultKind::Drop];
+        s.fault_rates = vec![0.001, 1e-3];
+        let e = s.expand().unwrap_err();
+        assert!(
+            e.to_string()
+                .contains(r#""micro/obfusmem/c1/drop@0.001/r0""#),
+            "got: {e}"
+        );
     }
 
     #[test]
