@@ -1,7 +1,10 @@
 //! Statistical attacks a passive observer can mount, and their scores.
 //!
-//! Each analysis takes the observer's captured packets plus the sealed
-//! ground truth (for scoring only) and returns a number with a clear
+//! Every analysis except [`channel_imbalance`] takes the raw
+//! [`BusEvent`]s: it reads the wire bytes, channel, direction and timing
+//! an observer sees, and uses the sealed ground truth only to choose
+//! what to compare and to score the result. [`channel_imbalance`] takes
+//! the observer's [`ObservedPacket`]s. Each returns a number with a clear
 //! ideal:
 //!
 //! | Analysis | Plain bus | ECB addresses | ObfusMem (CTR) |
@@ -17,7 +20,7 @@ use std::collections::{HashMap, HashSet};
 use obfusmem_core::busmsg::{BusEvent, Direction};
 use obfusmem_mem::request::AccessKind;
 
-use crate::observer::{capture, ObservedPacket};
+use crate::observer::ObservedPacket;
 
 /// Temporal linkage: among pairs of request packets whose *true*
 /// addresses match, the fraction whose *observed* header bytes also
@@ -331,7 +334,6 @@ pub struct LeakageReport {
 
 /// Runs every passive analysis.
 pub fn analyze(events: &[BusEvent]) -> LeakageReport {
-    let _observed = capture(events); // attacker view; analyses score vs truth
     LeakageReport {
         temporal_linkage: temporal_linkage(events),
         type_accuracy: request_type_accuracy(events),
@@ -345,6 +347,7 @@ pub fn analyze(events: &[BusEvent]) -> LeakageReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observer::capture;
     use obfusmem_core::backend::ObfusMemBackend;
     use obfusmem_core::config::{AddressCipherMode, ObfusMemConfig, SecurityLevel};
     use obfusmem_cpu::core::MemoryBackend;

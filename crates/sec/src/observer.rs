@@ -3,9 +3,11 @@
 //! An attacker with probes on the exposed processor–memory wires sees,
 //! per packet: raw bytes, which channel's pins carried it, direction, and
 //! timing. They do **not** see the `GroundTruth` the simulator attaches —
-//! [`ObservedPacket::from_event`] strips it, and all attack code in
-//! [`crate::leakage`] operates on [`ObservedPacket`]s only; truth is used
-//! solely to *score* the attack afterwards.
+//! [`ObservedPacket::from_event`] strips it.
+//! [`crate::leakage::channel_imbalance`] runs on [`ObservedPacket`]s; the
+//! other estimators in [`crate::leakage`] take `BusEvent`s, read only
+//! what the wires carry, and use the truth solely to choose what to
+//! compare and to *score* the attack.
 
 use obfusmem_core::busmsg::{BusEvent, Direction};
 use obfusmem_sim::time::Time;
