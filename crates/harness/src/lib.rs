@@ -4,8 +4,9 @@
 //! `obfusmem-bench` into batch infrastructure:
 //!
 //! - [`spec::SweepSpec`] — a declarative cartesian grid (workloads ×
-//!   schemes × channels × replicates) with a tiny `key = value` text
-//!   format for spec files.
+//!   schemes and ORAM modes × channels × backends × link faults × device
+//!   faults × leakage points × replicates) with a tiny `key = value` text
+//!   format for spec files; every key is also a `sweep` flag.
 //! - [`job`] — self-describing [`job::JobSpec`]s whose seeds derive from
 //!   `(master_seed, job_id)` alone via `SplitMix64` child streams, so any
 //!   job reproduces standalone regardless of scheduling.
