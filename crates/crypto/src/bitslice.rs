@@ -855,6 +855,8 @@ mod tests {
                 let mut got = plain.clone();
                 encrypt_blocks_on(tier, &keys, cipher.round_key_bytes(), &mut got);
                 assert_eq!(got, expect, "tier {} len {}", tier.name(), len);
+                let back: Vec<Block> = got.iter().map(|c| cipher.decrypt_block(c)).collect();
+                assert_eq!(back, plain, "decrypt, tier {} len {}", tier.name(), len);
             }
         }
     }

@@ -2,7 +2,10 @@
 //! `(instructions, seed)`, whatever the per-thread Zipf memo holds when
 //! it starts: empty (a fresh thread), the last program's table (a rerun
 //! in the same thread), or a full-size table no Table 1 program uses.
+//! It is also independent of the AES engine: forcing the scalar reference
+//! cipher process-wide yields the same bits as the default wide path.
 
+use obfusmem::crypto::aes::set_force_scalar;
 use obfusmem::sim::rng::Zipf;
 use obfusmem_bench::experiments::{fig4, Fig4Row};
 
@@ -42,4 +45,9 @@ fn fig4_rows_are_bit_identical_whatever_the_zipf_memo_holds() {
         first,
         "memo holding a table no program uses"
     );
+    // Process-wide switch, so it stays inside this one test function.
+    set_force_scalar(true);
+    let scalar = bits(&fig4(INSTRUCTIONS, SEED));
+    set_force_scalar(false);
+    assert_eq!(scalar, first, "scalar AES forced");
 }
