@@ -1,6 +1,6 @@
-//! Memory-device microbenchmarks: simulator throughput for the access
-//! patterns that matter (row hits, row misses, channel parallelism), plus
-//! the per-point workload setup that precedes them.
+//! Memory-system microbenchmarks: the FR-FCFS controller under mixed and
+//! ORAM-path batches, plus the per-point workload setup that precedes a
+//! simulation.
 
 use obfusmem_bench::quick::{Criterion, Throughput};
 use obfusmem_bench::{criterion_group, criterion_main};
@@ -10,83 +10,7 @@ use obfusmem_mem::config::{BackendKind, MemConfig};
 use obfusmem_mem::device::PcmMemory;
 use obfusmem_mem::request::{AccessKind, BlockAddr};
 use obfusmem_sim::rng::{SplitMix64, Zipf};
-use obfusmem_sim::time::{Duration, Time};
-
-fn bench_device(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pcm_device");
-    group.throughput(Throughput::Elements(1));
-
-    group.bench_function("row_hit_read", |b| {
-        let mut mem = PcmMemory::new(MemConfig::table2());
-        let mut t = Time::ZERO;
-        b.iter(|| {
-            // Same row every time → hit after warmup.
-            let r = mem.access(t, 0x40, AccessKind::Read);
-            t = r.complete_at;
-            std::hint::black_box(r.row_hit)
-        })
-    });
-
-    group.bench_function("row_miss_read", |b| {
-        let mut mem = PcmMemory::new(MemConfig::table2());
-        let mut t = Time::ZERO;
-        let mut toggle = false;
-        b.iter(|| {
-            // Two rows of the same bank → always a conflict miss.
-            let addr = if toggle { 0u64 } else { 1 << 24 };
-            toggle = !toggle;
-            let r = mem.access(t, addr, AccessKind::Read);
-            t = r.complete_at;
-            std::hint::black_box(r.row_hit)
-        })
-    });
-
-    for channels in [1usize, 4, 8] {
-        group.bench_function(format!("interleaved_stream_{channels}ch"), |b| {
-            let mut mem = PcmMemory::new(MemConfig::table2().with_channels(channels));
-            let mut t = Time::ZERO;
-            let mut i = 0u64;
-            b.iter(|| {
-                let r = mem.access(t, i * 1024, AccessKind::Read);
-                i = (i + 1) % 4096;
-                t = r.complete_at;
-                std::hint::black_box(r.channel)
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_functional_store(c: &mut Criterion) {
-    let mut group = c.benchmark_group("functional_store");
-    group.throughput(Throughput::Bytes(64));
-    group.bench_function("write_then_read_block", |b| {
-        let mut mem = PcmMemory::new(MemConfig::table2());
-        let data = [0xEE; 64];
-        let mut i = 0u64;
-        b.iter(|| {
-            let addr = obfusmem_mem::request::BlockAddr::from_index(i % 65536);
-            i += 1;
-            mem.write_block(addr, data);
-            std::hint::black_box(mem.read_block(addr))
-        })
-    });
-    group.finish();
-}
-
-fn bench_bus(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bus");
-    group.bench_function("dummy_bus_transfer", |b| {
-        let mut mem = PcmMemory::new(MemConfig::table2());
-        let mut t = Time::ZERO;
-        b.iter(|| {
-            t = mem.bus_transfer(t, 0);
-            std::hint::black_box(t)
-        })
-    });
-    let _ = Duration::ZERO;
-    group.finish();
-}
+use obfusmem_sim::time::Time;
 
 fn bench_scheduler(c: &mut Criterion) {
     use obfusmem_mem::scheduler::FrFcfsScheduler;
@@ -193,12 +117,5 @@ fn bench_workload(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_workload,
-    bench_device,
-    bench_functional_store,
-    bench_bus,
-    bench_scheduler
-);
+criterion_group!(benches, bench_workload, bench_scheduler);
 criterion_main!(benches);

@@ -3,8 +3,8 @@
 //!
 //! The build environment has no network access, so Criterion cannot be a
 //! dependency. This module keeps the bench sources almost unchanged:
-//! groups, `bench_function`, `bench_with_input`, throughput annotation,
-//! and the `criterion_group!`/`criterion_main!` macros (exported from the
+//! groups, `bench_function`, throughput annotation, and the
+//! `criterion_group!`/`criterion_main!` macros (exported from the
 //! crate root). Measurement is wall-clock batching — grow the batch until
 //! it is long enough to time reliably, then repeat batches for a fixed
 //! budget and report mean ns/iter plus derived throughput.
@@ -61,20 +61,12 @@ impl BenchGroup {
         self.throughput = Some(t);
     }
 
-    /// Accepted for source compatibility; the batching measurement does
-    /// not use a fixed sample count.
-    pub fn sample_size(&mut self, _n: usize) {}
-
     /// Runs one benchmark.
-    pub fn bench_function(
-        &mut self,
-        id: impl Into<String>,
-        mut f: impl FnMut(&mut Bencher),
-    ) -> &mut Self {
+    pub fn bench_function(&mut self, id: impl Into<String>, mut f: impl FnMut(&mut Bencher)) {
         let full = format!("{}/{}", self.name, id.into());
         if let Some(filter) = &self.filter {
             if !full.contains(filter.as_str()) {
-                return self;
+                return;
             }
         }
         let mut b = Bencher {
@@ -83,33 +75,11 @@ impl BenchGroup {
         };
         f(&mut b);
         println!("{}", b.report(&full, self.throughput));
-        self
-    }
-
-    /// Runs one parameterized benchmark.
-    pub fn bench_with_input<I>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: impl FnMut(&mut Bencher, &I),
-    ) -> &mut Self {
-        self.bench_function(id.0, |b| f(b, input))
     }
 
     /// Ends the group (spacing line, matching Criterion's call shape).
     pub fn finish(self) {
         println!();
-    }
-}
-
-/// A `name/parameter` benchmark id.
-#[derive(Debug, Clone)]
-pub struct BenchmarkId(String);
-
-impl BenchmarkId {
-    /// Builds `name/parameter`.
-    pub fn new(name: impl Into<String>, parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId(format!("{}/{}", name.into(), parameter))
     }
 }
 
@@ -125,32 +95,10 @@ const MIN_BATCH: Duration = Duration::from_millis(4);
 /// Total measurement budget per benchmark.
 const BUDGET: Duration = Duration::from_millis(60);
 
-/// Times `f` with the default budget and returns mean ns/iter.
-///
-/// The programmatic entry point for tools (like the hotpath baseline
-/// emitter) that need the number rather than a printed report line.
-pub fn measure_ns<R>(f: impl FnMut() -> R) -> f64 {
-    measure_ns_budget(f, BUDGET)
-}
-
-/// Times `f` for roughly `budget` wall-clock and returns mean ns/iter.
-pub fn measure_ns_budget<R>(f: impl FnMut() -> R, budget: Duration) -> f64 {
-    let mut b = Bencher {
-        iters: 0,
-        elapsed: Duration::ZERO,
-    };
-    b.iter_budget(f, budget.min(MIN_BATCH), budget);
-    b.ns_per_iter()
-}
-
 impl Bencher {
     /// Times `f`, batching adaptively. The closure's result is
     /// `black_box`ed so the work is not optimized away.
-    pub fn iter<R>(&mut self, f: impl FnMut() -> R) {
-        self.iter_budget(f, MIN_BATCH, BUDGET);
-    }
-
-    fn iter_budget<R>(&mut self, mut f: impl FnMut() -> R, min_batch: Duration, budget: Duration) {
+    pub fn iter<R>(&mut self, mut f: impl FnMut() -> R) {
         let mut batch: u64 = 1;
         let batch_time = loop {
             let t0 = Instant::now();
@@ -158,14 +106,14 @@ impl Bencher {
                 std::hint::black_box(f());
             }
             let dt = t0.elapsed();
-            if dt >= min_batch || batch >= 1 << 28 {
+            if dt >= MIN_BATCH || batch >= 1 << 28 {
                 break dt;
             }
             batch = batch.saturating_mul(4);
         };
         let mut total = batch_time;
         let mut iters = batch;
-        while total < budget {
+        while total < BUDGET {
             let t0 = Instant::now();
             for _ in 0..batch {
                 std::hint::black_box(f());
@@ -175,15 +123,6 @@ impl Bencher {
         }
         self.iters = iters;
         self.elapsed = total;
-    }
-
-    /// Mean nanoseconds per iteration measured so far (0.0 before `iter`).
-    pub fn ns_per_iter(&self) -> f64 {
-        if self.iters == 0 {
-            0.0
-        } else {
-            self.elapsed.as_nanos() as f64 / self.iters as f64
-        }
     }
 
     fn report(&self, id: &str, throughput: Option<Throughput>) -> String {
@@ -279,23 +218,5 @@ mod tests {
             b.iter(|| 1u64);
         });
         assert!(ran);
-    }
-
-    #[test]
-    fn benchmark_id_formats() {
-        assert_eq!(BenchmarkId::new("depth", 12).0, "depth/12");
-    }
-
-    #[test]
-    fn measure_ns_returns_a_positive_mean() {
-        let mut x = 1u64;
-        let ns = measure_ns_budget(
-            || {
-                x = x.wrapping_mul(3);
-                x
-            },
-            Duration::from_millis(2),
-        );
-        assert!(ns > 0.0, "got {ns}");
     }
 }
