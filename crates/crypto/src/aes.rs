@@ -21,9 +21,10 @@
 //!   no measured path decrypts.
 //!
 //! The two paths are bit-identical by construction and the test suite
-//! (plus the `hotpath` bench gate in CI) enforces it on the FIPS-197 and
-//! SP 800-38A vectors and thousands of random blocks, on every tier the
-//! CPU supports.
+//! enforces it on the FIPS-197 and SP 800-38A vectors and thousands of
+//! random blocks, on every tier the CPU supports; a whole Figure 4 sweep
+//! with the scalar path forced must match the default bit for bit
+//! (`tests/fig4_bit_identity.rs`).
 //!
 //! # Example
 //!
@@ -103,12 +104,13 @@ const fn gmul(a: u8, b: u8) -> u8 {
 /// Process-wide switch forcing every *subsequently constructed* `Aes128`
 /// onto the scalar reference path. Existing instances are unaffected.
 ///
-/// Meant for A/B benchmarking (the `hotpath` bench uses it to measure the
-/// scalar baseline end to end); production code should never touch it.
+/// Meant for end-to-end differential tests (`tests/fig4_bit_identity.rs`
+/// runs a whole Figure 4 sweep on the scalar path and on the default);
+/// production code should never touch it.
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
 /// Forces (or releases) the scalar reference path for ciphers constructed
-/// after this call. See [`FORCE_SCALAR`]'s intent: benchmarking only.
+/// after this call. See [`FORCE_SCALAR`]'s intent: testing only.
 pub fn set_force_scalar(on: bool) {
     FORCE_SCALAR.store(on, Ordering::SeqCst);
 }

@@ -202,7 +202,8 @@ pub fn run_point(p: &PointSpec) -> RunResult {
 /// [`run_point`] with an inert bus tap attached: every bus event is
 /// built and delivered to a [`NullBusTap`](obfusmem_core::tap::NullBusTap)
 /// that discards it. Results are bit-identical to [`run_point`]; the
-/// hotpath bench uses the wall-clock delta to price the streaming tap
+/// benchmark's timers pass uses the wall-clock delta
+/// (`host.sec.null_tap_overhead_pct`) to price the streaming tap
 /// machinery the leakage observatory rides on. The ORAM model has no
 /// bus to tap, so that scheme just delegates to [`run_point`].
 pub fn run_point_nulltap(p: &PointSpec) -> RunResult {
