@@ -932,7 +932,7 @@ pub struct LeakageRow {
 /// obfusmem ≈ obfusmem-auth ≈ oram ≈ 0.
 pub fn leakage_matrix(instructions: u64, seed: u64) -> Vec<LeakageRow> {
     use obfusmem_harness::measure::{
-        leakage_summary_from_metrics, run_point_attacked, workload_by_name, LeakagePoint,
+        leakage_summary_from_metrics, run_point_with, workload_by_name, BusObserver, LeakagePoint,
     };
     let spec = workload_by_name("micro").expect("built-in workload");
     let leak = LeakagePoint {
@@ -944,7 +944,7 @@ pub fn leakage_matrix(instructions: u64, seed: u64) -> Vec<LeakageRow> {
         .map(|scheme| {
             let point = PointSpec::paper(spec.clone(), scheme, instructions, seed);
             let obs = TraceHandle::disabled();
-            let (_, metrics) = run_point_attacked(&point, &obs, leak);
+            let (_, metrics) = run_point_with(&point, &obs, BusObserver::Attacker(leak));
             let s = leakage_summary_from_metrics(&metrics)
                 .expect("attacked runs always publish a leakage subtree");
             LeakageRow {

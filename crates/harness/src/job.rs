@@ -19,8 +19,7 @@ use obfusmem_obs::trace::{TraceEvent, TraceHandle};
 use obfusmem_sim::rng::SplitMix64;
 
 use crate::measure::{
-    run_point_attacked, run_point_observed, workload_by_name, LeakagePoint, OramMode, PointSpec,
-    Scheme,
+    run_point_with, workload_by_name, BusObserver, LeakagePoint, OramMode, PointSpec, Scheme,
 };
 
 /// One schedulable simulation job.
@@ -194,10 +193,10 @@ fn run_job_with(spec: &JobSpec, obs: &TraceHandle) -> JobOutput {
         point.obfus.device_faults = DeviceFaultPlan::single(kind, rate, spec.device_fault_seed);
     }
     let started = Instant::now();
-    let (result, metrics) = match spec.leakage {
-        Some(leak) => run_point_attacked(&point, obs, leak),
-        None => run_point_observed(&point, obs),
-    };
+    let bus = spec
+        .leakage
+        .map_or(BusObserver::None, BusObserver::Attacker);
+    let (result, metrics) = run_point_with(&point, obs, bus);
     JobOutput {
         spec: spec.clone(),
         result,
