@@ -1,11 +1,9 @@
 //! Statistical attacks a passive observer can mount, and their scores.
 //!
-//! Every analysis except [`channel_imbalance`] takes the raw
-//! [`BusEvent`]s: it reads the wire bytes, channel, direction and timing
-//! an observer sees, and uses the sealed ground truth only to choose
-//! what to compare and to score the result. [`channel_imbalance`] takes
-//! the observer's [`ObservedPacket`]s. Each returns a number with a clear
-//! ideal:
+//! Every analysis takes the raw [`BusEvent`]s: it reads the wire bytes,
+//! channel, direction and timing an observer sees, and uses the sealed
+//! ground truth only to choose what to compare and to score the result.
+//! Each returns a number with a clear ideal:
 //!
 //! | Analysis | Plain bus | ECB addresses | ObfusMem (CTR) |
 //! |---|---|---|---|
@@ -19,8 +17,6 @@ use std::collections::{HashMap, HashSet};
 
 use obfusmem_core::busmsg::{BusEvent, Direction};
 use obfusmem_mem::request::AccessKind;
-
-use crate::observer::ObservedPacket;
 
 /// Temporal linkage: among pairs of request packets whose *true*
 /// addresses match, the fraction whose *observed* header bytes also
@@ -233,15 +229,15 @@ pub fn spatial_leakage(events: &[BusEvent]) -> f64 {
 /// per-channel packet counts (0 = perfectly even). Spatial inference
 /// across channels (§3.4) needs imbalance or phase structure; injection
 /// drives this toward 0.
-pub fn channel_imbalance(packets: &[ObservedPacket], channels: usize) -> f64 {
+pub fn channel_imbalance(events: &[BusEvent], channels: usize) -> f64 {
     // Zero channels observe zero traffic: no imbalance, not a panic.
     if channels == 0 {
         return 0.0;
     }
     let mut counts = vec![0f64; channels];
-    for p in packets {
-        if p.direction == Direction::ToMemory && p.channel < channels {
-            counts[p.channel] += 1.0;
+    for e in events {
+        if e.direction == Direction::ToMemory && e.channel < channels {
+            counts[e.channel] += 1.0;
         }
     }
     let mean = counts.iter().sum::<f64>() / channels as f64;
@@ -347,7 +343,6 @@ pub fn analyze(events: &[BusEvent]) -> LeakageReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::capture;
     use obfusmem_core::backend::ObfusMemBackend;
     use obfusmem_core::config::{AddressCipherMode, ObfusMemConfig, SecurityLevel};
     use obfusmem_cpu::core::MemoryBackend;
@@ -506,8 +501,7 @@ mod tests {
                 };
                 b.read(Time::from_ps(i * 3_000), BlockAddr::containing(addr));
             }
-            let obs = capture(&b.take_trace());
-            scores.push(channel_imbalance(&obs, 4));
+            scores.push(channel_imbalance(&b.take_trace(), 4));
         }
         assert!(
             scores[1] < scores[0] * 0.8,

@@ -3,13 +3,16 @@
 //! The paper's security claims (Table 4 and §6.1) are qualitative; this
 //! crate makes them *measurable* on simulated bus traces:
 //!
-//! * [`observer`] — the passive attacker's view: bus events stripped of
-//!   ground truth (only ciphertext bytes, shapes, channels, and timing).
-//! * [`leakage`] — statistical attacks an observer can mount: ciphertext
-//!   repetition / temporal-linkage, read-vs-write classification,
-//!   footprint estimation, per-channel imbalance, and an ECB dictionary
-//!   attack. Each returns a score that is near its ideal for a protected
-//!   bus and far from it for a plaintext bus.
+//! * [`leakage`] — statistical attacks a passive bus observer can mount
+//!   on a recorded trace of bus events: ciphertext repetition /
+//!   temporal-linkage, read-vs-write classification, footprint
+//!   estimation, per-channel imbalance, and an ECB dictionary attack.
+//!   Each reads only the wire observables and returns a score that is
+//!   near its ideal for a protected bus and far from it for a plaintext
+//!   bus.
+//! * [`observatory`] — the same passive observer as a streaming bus tap:
+//!   the Membuster attack ladder folded into bits leaked per access
+//!   during a run, for the sweep's leakage axis.
 //! * [`tamper`] — the active attacker: bit flips, drops, replays,
 //!   injections, and reorders against a live processor/memory engine
 //!   pair, scored by detection rate (paper §3.5's scenarios).
@@ -18,11 +21,12 @@
 //! * [`isolation`] — multi-tenant isolation proofs for the session
 //!   fabric: cross-tenant timing invisibility, and bit-identity of the
 //!   1-tenant fabric with the legacy single-session path.
+//! * [`thermal`] — the §6.2 thermal side channel: how concentrated row
+//!   activations are under each scheme.
 
 pub mod isolation;
 pub mod leakage;
 pub mod observatory;
-pub mod observer;
 pub mod table4;
 pub mod tamper;
 pub mod thermal;

@@ -123,7 +123,6 @@ fn footprint_grows_unbounded_for_the_observer_under_ctr() {
 
 #[test]
 fn multi_channel_traffic_is_balanced_with_injection() {
-    use obfusmem::sec::observer::capture;
     let cfg = ObfusMemConfig::paper_default();
     let mut b = ObfusMemBackend::new(cfg, MemConfig::table2().with_channels(4), 11);
     b.enable_trace();
@@ -131,8 +130,7 @@ fn multi_channel_traffic_is_balanced_with_injection() {
     for i in 0..400u64 {
         b.read(Time::from_ps(i * 3000), BlockAddr::from_index(i % 16));
     }
-    let obs = capture(&b.take_trace());
-    let imbalance = leakage::channel_imbalance(&obs, 4);
+    let imbalance = leakage::channel_imbalance(&b.take_trace(), 4);
     assert!(imbalance < 1.0, "injection must mask the skew: {imbalance}");
 }
 
