@@ -386,7 +386,8 @@ usage: sweep [options]
                        observatory and adds leak_* fields to each row
   --leakage-squeezes LIST
                        comma list of cache-squeeze factors >= 1.0 that
-                       multiply the workload's LLC MPKI (default 1.0)
+                       multiply the workload's LLC MPKI, up to 1000
+                       (default 1.0)
   --leak-ceiling BITS  max bits/access a protected scheme may leak before
                        the sweep fails (default 0.5)
   --leak-floor BITS    min bits/access the unprotected scheme must leak

@@ -105,6 +105,10 @@ impl Default for SweepSpec {
     }
 }
 
+/// The largest LLC MPKI a cache squeeze may lift a workload to: one miss
+/// per instruction.
+const MAX_SQUEEZED_MPKI: f64 = 1000.0;
+
 /// A malformed or unsatisfiable spec.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecError(pub String);
@@ -343,6 +347,23 @@ impl SweepSpec {
                 .find(|s| !(s.is_finite() && **s >= 1.0))
             {
                 return Err(err(format!("leakage squeeze must be >= 1.0, got {s}")));
+            }
+            // A squeeze multiplies the workload's LLC MPKI. Past one miss
+            // per instruction the run would issue more misses than it
+            // retires instructions, and a large factor never finishes.
+            for w in &self.workloads {
+                let mpki = workload_by_name(w).map_or(0.0, |spec| spec.llc_mpki);
+                if let Some(s) = self
+                    .leakage_squeezes
+                    .iter()
+                    .find(|&&s| mpki * s > MAX_SQUEEZED_MPKI)
+                {
+                    return Err(err(format!(
+                        "leakage squeeze {s} lifts workload {w:?} from {mpki} to {} MPKI; \
+                         at most {MAX_SQUEEZED_MPKI} (one LLC miss per instruction)",
+                        mpki * s
+                    )));
+                }
             }
         }
         Ok(())
@@ -815,6 +836,25 @@ mod tests {
         assert!(s.expand().is_err());
         s.leakage_squeezes = Vec::new();
         assert!(s.expand().is_err(), "windows without squeezes is a typo");
+    }
+
+    #[test]
+    fn leakage_axis_rejects_a_squeeze_past_one_miss_per_instruction() {
+        let mut s = tiny(); // micro at 20 MPKI, mcf at 24.82
+        s.leakage_windows = vec![128];
+        s.leakage_squeezes = vec![1.0, 1e9];
+        let e = s.expand().unwrap_err().to_string();
+        assert!(
+            e.contains("squeeze 1000000000") && e.contains("\"micro\""),
+            "{e}"
+        );
+        s.leakage_squeezes = vec![40.0];
+        assert!(s.expand().is_ok(), "mcf x40 stays under 1000 MPKI");
+        s.leakage_squeezes = vec![50.0];
+        let e = s.expand().unwrap_err().to_string();
+        assert!(e.contains("squeeze 50") && e.contains("\"mcf\""), "{e}");
+        s.workloads = vec!["micro".into()];
+        assert!(s.expand().is_ok(), "micro x50 is exactly 1000 MPKI");
     }
 
     #[test]
