@@ -3,8 +3,11 @@
 //! The harness needs exactly two JSON operations — emit one flat object
 //! per line, and pull named fields back out of lines it wrote itself —
 //! so this module implements just that, dependency-free. Writing is
-//! deterministic: fields appear in insertion order, floats use Rust's
-//! shortest-round-trip `Display`, and strings are escaped per RFC 8259.
+//! deterministic: fields appear in insertion order, and strings and
+//! floats are spelled by `obfusmem_obs::json` (RFC 8259 escapes,
+//! shortest round-trip decimals), like every other exporter.
+
+use obfusmem_obs::json::{push_f64, push_string};
 
 /// Builder for one flat JSON object.
 #[derive(Debug)]
@@ -24,14 +27,14 @@ impl JsonObject {
         if self.buf.len() > 1 {
             self.buf.push(',');
         }
-        push_json_string(&mut self.buf, key);
+        push_string(&mut self.buf, key);
         self.buf.push(':');
     }
 
     /// Adds a string field.
     pub fn string(mut self, key: &str, value: &str) -> Self {
         self.key(key);
-        push_json_string(&mut self.buf, value);
+        push_string(&mut self.buf, value);
         self
     }
 
@@ -46,17 +49,7 @@ impl JsonObject {
     /// become `null`, which JSON requires).
     pub fn f64(mut self, key: &str, value: f64) -> Self {
         self.key(key);
-        if value.is_finite() {
-            let s = format!("{value}");
-            // `Display` prints integral floats without a point; keep the
-            // type visible in the row.
-            self.buf.push_str(&s);
-            if !s.contains('.') && !s.contains('e') {
-                self.buf.push_str(".0");
-            }
-        } else {
-            self.buf.push_str("null");
-        }
+        push_f64(&mut self.buf, value);
         self
     }
 
@@ -73,24 +66,6 @@ impl Default for JsonObject {
     }
 }
 
-fn push_json_string(buf: &mut String, s: &str) {
-    buf.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => buf.push_str("\\\""),
-            '\\' => buf.push_str("\\\\"),
-            '\n' => buf.push_str("\\n"),
-            '\r' => buf.push_str("\\r"),
-            '\t' => buf.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                buf.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => buf.push(c),
-        }
-    }
-    buf.push('"');
-}
-
 /// Extracts the string field `key` from a flat JSON line this module
 /// wrote. Returns `None` when the field is missing or the line is
 /// malformed/truncated (e.g. a row cut short by a kill — the resume path
@@ -98,7 +73,7 @@ fn push_json_string(buf: &mut String, s: &str) {
 pub fn extract_string_field(line: &str, key: &str) -> Option<String> {
     let needle = {
         let mut n = String::new();
-        push_json_string(&mut n, key);
+        push_string(&mut n, key);
         n.push(':');
         n
     };

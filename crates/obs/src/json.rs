@@ -1,10 +1,9 @@
-//! Minimal JSON emission helpers shared by the exporters.
+//! Minimal JSON emission helpers shared by every exporter.
 //!
-//! The workspace is dependency-free, so like `obfusmem_harness::jsonl`
-//! this is hand-rolled — but where the harness writer builds *flat*
-//! objects, the observability exporters need nested documents, so the
-//! helpers here operate on a raw `String` buffer and leave structure to
-//! the caller.
+//! The workspace is dependency-free, so this is hand-rolled. The helpers
+//! operate on a raw `String` buffer and leave structure to the caller:
+//! the observability exporters build nested documents with them, and
+//! `obfusmem_harness::jsonl` builds its flat result rows.
 
 /// Appends `s` as a JSON string literal (with quotes) to `buf`.
 pub fn push_string(buf: &mut String, s: &str) {
