@@ -318,11 +318,6 @@ impl FaultyLink {
         &self.ch_stats[channel]
     }
 
-    /// Number of channels the link spans.
-    pub fn num_channels(&self) -> usize {
-        self.channels.len()
-    }
-
     /// True when `channel` has been quarantined.
     pub fn is_quarantined(&self, channel: usize) -> bool {
         self.channels.get(channel).is_some_and(|c| c.quarantined)

@@ -11,7 +11,6 @@
 use obfusmem_crypto::ctr::PADS_PER_REQUEST;
 use obfusmem_crypto::mac::{tags_equal, Tag};
 use obfusmem_mem::request::BlockData;
-use obfusmem_sim::rng::SplitMix64;
 
 use crate::busmsg::{BusPacket, RequestHeader};
 use crate::config::{AddressCipherMode, MacScheme, ObfusMemConfig};
@@ -44,7 +43,6 @@ pub struct DecodedRequest {
 pub struct MemoryEngine {
     cfg: ObfusMemConfig,
     sessions: Vec<ChannelSession>,
-    rng: SplitMix64,
     dummies_dropped: u64,
     tampers_detected: u64,
 }
@@ -52,8 +50,8 @@ pub struct MemoryEngine {
 impl MemoryEngine {
     /// Builds a single-lane engine with this channel's established
     /// session (the classic one-session-per-channel shape).
-    pub fn new(cfg: ObfusMemConfig, session: ChannelSession, seed: u64) -> Self {
-        MemoryEngine::with_sessions(cfg, vec![session], seed)
+    pub fn new(cfg: ObfusMemConfig, session: ChannelSession) -> Self {
+        MemoryEngine::with_sessions(cfg, vec![session])
     }
 
     /// Builds an engine whose session table starts with `sessions`
@@ -63,12 +61,11 @@ impl MemoryEngine {
     ///
     /// Panics when `sessions` is empty: every engine needs a lane 0 for
     /// the legacy single-session API to address.
-    pub fn with_sessions(cfg: ObfusMemConfig, sessions: Vec<ChannelSession>, seed: u64) -> Self {
+    pub fn with_sessions(cfg: ObfusMemConfig, sessions: Vec<ChannelSession>) -> Self {
         assert!(!sessions.is_empty(), "memory engine needs at least lane 0");
         MemoryEngine {
             cfg,
             sessions,
-            rng: SplitMix64::new(seed),
             dummies_dropped: 0,
             tampers_detected: 0,
         }
@@ -459,15 +456,6 @@ impl MemoryEngine {
             tag,
         }
     }
-
-    /// Random data returned for a dummy read (discarded at the processor).
-    pub fn random_reply(&mut self) -> BlockData {
-        let mut out = [0u8; 64];
-        for chunk in out.chunks_mut(8) {
-            chunk.copy_from_slice(&self.rng.next_u64().to_le_bytes());
-        }
-        out
-    }
 }
 
 /// Convenience: end-to-end check that a processor and memory engine pair
@@ -487,8 +475,7 @@ pub fn engines_for_test(
     );
     let mems = keys
         .into_iter()
-        .enumerate()
-        .map(|(i, (k, n))| MemoryEngine::new(cfg, ChannelSession::new(k, n), i as u64))
+        .map(|(k, n)| MemoryEngine::new(cfg, ChannelSession::new(k, n)))
         .collect();
     (proc, mems)
 }
@@ -783,7 +770,7 @@ mod tests {
             crate::session::SessionKeyTable::new(vec![([9; 16], 0)]),
             7,
         );
-        let mut mem = MemoryEngine::new(cfg, ChannelSession::new([9; 16], 0), 0);
+        let mut mem = MemoryEngine::new(cfg, ChannelSession::new([9; 16], 0));
         let lane = proc.add_lane([10; 16], 5000);
         assert_eq!(mem.add_lane(ChannelSession::new([10; 16], 5000)), lane);
         assert_eq!(mem.lanes(), 2);
@@ -822,7 +809,7 @@ mod tests {
                 crate::session::SessionKeyTable::new(vec![([4; 16], 17)]),
                 3,
             );
-            let mem = MemoryEngine::new(cfg, ChannelSession::new([4; 16], 17), 5);
+            let mem = MemoryEngine::new(cfg, ChannelSession::new([4; 16], 17));
             (proc, mem)
         };
         let (mut p_legacy, mut m_legacy) = mk();

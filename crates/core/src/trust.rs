@@ -155,16 +155,6 @@ pub struct EstablishedTrust {
     pub approach: BootstrapApproach,
 }
 
-impl EstablishedTrust {
-    /// Builds the processor's Session Key Table from the established
-    /// keys. Each session key is expanded into its AES schedule exactly
-    /// once, here at boot — the steady-state pad pipeline only ever
-    /// borrows the expanded schedule.
-    pub fn session_table(&self) -> crate::session::SessionKeyTable {
-        crate::session::SessionKeyTable::new(self.channel_keys.clone())
-    }
-}
-
 /// Builds a complete simulated platform and runs the bootstrap.
 ///
 /// This is the "system integrator in a function": it fabricates a

@@ -20,9 +20,6 @@ pub struct EnergyModel {
     pub read_energy: f64,
     /// Energy of one block write to the array (paper: 6.8 × read).
     pub write_energy: f64,
-    /// Energy of producing one 128-bit AES pad (for the §5.2 pad-count
-    /// comparison; relative units).
-    pub pad_energy: f64,
 }
 
 impl EnergyModel {
@@ -31,18 +28,12 @@ impl EnergyModel {
         EnergyModel {
             read_energy: 1.0,
             write_energy: 6.8,
-            pad_energy: 0.1,
         }
     }
 
     /// Energy for a batch of array operations.
     pub fn array_energy(&self, block_reads: u64, block_writes: u64) -> f64 {
         block_reads as f64 * self.read_energy + block_writes as f64 * self.write_energy
-    }
-
-    /// Energy for `pads` 128-bit pad generations.
-    pub fn pad_energy_total(&self, pads: u64) -> f64 {
-        pads as f64 * self.pad_energy
     }
 }
 

@@ -35,8 +35,8 @@ use obfusmem_mem::scheduler::FrFcfsScheduler;
 use obfusmem_sim::rng::SplitMix64;
 use obfusmem_sim::time::{Duration, Time};
 use obfusmem_tenant::fabric::{
-    mem_engine_seed, proc_engine_seed, synthetic_block, tenant_data_seed, tenant_handshake,
-    tenant_nonce, tenant_stream_seed, FabricConfig, FabricError, SessionFabric,
+    proc_engine_seed, synthetic_block, tenant_data_seed, tenant_handshake, tenant_nonce,
+    tenant_stream_seed, FabricConfig, FabricError, SessionFabric,
 };
 
 /// Runs a two-tenant fabric — tenant 0 (the aggressor) on channel 0,
@@ -90,11 +90,7 @@ pub fn legacy_single_session_trace(cfg: &FabricConfig) -> Result<Vec<u64>, Fabri
         SessionKeyTable::new(vec![(key, nonce)]),
         proc_engine_seed(cfg),
     );
-    let mut mem = MemoryEngine::new(
-        obf,
-        ChannelSession::new(key, nonce),
-        mem_engine_seed(cfg, 0),
-    );
+    let mut mem = MemoryEngine::new(obf, ChannelSession::new(key, nonce));
     let mut sched = FrFcfsScheduler::new(MemConfig::table2());
     sched.set_starvation_limit(cfg.starvation_limit);
     let mut stream = MissStream::new(cfg.workload_for(0).clone(), tenant_stream_seed(cfg, 0));

@@ -172,12 +172,6 @@ impl Clock {
         }
     }
 
-    /// A clock described by its period in picoseconds.
-    pub fn from_period_ps(period_ps: u64) -> Self {
-        assert!(period_ps > 0, "clock period must be nonzero");
-        Clock { period_ps }
-    }
-
     /// One cycle as a duration.
     pub fn period(self) -> Duration {
         Duration(self.period_ps)

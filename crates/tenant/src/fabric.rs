@@ -265,11 +265,6 @@ pub fn proc_engine_seed(cfg: &FabricConfig) -> u64 {
     derived_seed(cfg.seed, SALT_ENGINE, u64::MAX)
 }
 
-/// Seed of the memory-side engine serving `channel`.
-pub fn mem_engine_seed(cfg: &FabricConfig, channel: usize) -> u64 {
-    derived_seed(cfg.seed, SALT_ENGINE, channel as u64)
-}
-
 /// Seed of tenant `t`'s miss stream.
 pub fn tenant_stream_seed(cfg: &FabricConfig, tenant: usize) -> u64 {
     derived_seed(cfg.seed, SALT_STREAM, tenant as u64)
@@ -631,8 +626,7 @@ impl SessionFabric {
         }
         let mems = channel_sessions
             .into_iter()
-            .enumerate()
-            .map(|(ch, sessions)| {
+            .map(|sessions| {
                 // A channel with no tenants still needs lane 0 for the
                 // engine invariant; give it an unused local session.
                 let sessions = if sessions.is_empty() {
@@ -640,11 +634,7 @@ impl SessionFabric {
                 } else {
                     sessions
                 };
-                MemoryEngine::with_sessions(
-                    ObfusMemConfig::paper_default(),
-                    sessions,
-                    mem_engine_seed(&cfg, ch),
-                )
+                MemoryEngine::with_sessions(ObfusMemConfig::paper_default(), sessions)
             })
             .collect();
         let mut sched = ShardedFrFcfs::new(mem_cfg.clone());
@@ -1270,7 +1260,7 @@ mod tests {
                 proc.add_lane(key, nonce);
                 sessions.push(ChannelSession::new(key, nonce));
             }
-            let mut mem = MemoryEngine::with_sessions(obf, sessions, 7);
+            let mut mem = MemoryEngine::with_sessions(obf, sessions);
             // Interleave re-keys in the fuzzed order.
             let mut epochs = vec![0u64; tenants];
             for &o in order.iter().take(16) {

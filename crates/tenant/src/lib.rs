@@ -30,8 +30,7 @@ pub mod fabric;
 pub mod qos;
 
 pub use fabric::{
-    mem_engine_seed, proc_engine_seed, tenant_data_seed, tenant_handshake, tenant_nonce,
-    tenant_stream_seed, DhStrength, FabricConfig, FabricError, FabricReport, SessionFabric,
-    TenantSummary,
+    proc_engine_seed, tenant_data_seed, tenant_handshake, tenant_nonce, tenant_stream_seed,
+    DhStrength, FabricConfig, FabricError, FabricReport, SessionFabric, TenantSummary,
 };
 pub use qos::TenantClass;
