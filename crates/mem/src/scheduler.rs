@@ -386,11 +386,6 @@ impl FrFcfsScheduler {
         self.pending_count
     }
 
-    /// When the channel's lanes next free up (max over both lanes).
-    pub fn busy_until(&self) -> Time {
-        self.request_lane_free.max(self.response_lane_free)
-    }
-
     /// True if neither lane has a transfer in flight at `now`.
     pub fn is_idle_at(&self, now: Time) -> bool {
         self.request_lane_free <= now && self.response_lane_free <= now && self.pending_count == 0
