@@ -5,7 +5,8 @@
 //!
 //! experiments: config table1 table3 fig4 fig5 energy table4 backends leakage
 //!              oram-variants oram-detailed oram-codesign
-//!              ablation-dummy ablation-mac ablation-stash trace all
+//!              ablation-dummy ablation-mac ablation-pairing ablation-mapping
+//!              ablation-typehiding ablation-stash trace all
 //! ```
 //!
 //! `trace` runs one Figure 4 point (bwaves, ObfusMem+Auth) with the span
