@@ -13,18 +13,29 @@
 //! served degraded from then on. Its stats are pinned after each of
 //! three read rounds.
 //!
+//! The link's recovery protocol is pinned by the fault campaign: micro
+//! under ObfusMem+Auth with every link fault kind at rate 0.001, on the
+//! reservation and the queued controller. Each backend's timing-free
+//! JSONL rows fold into one FNV-1a digest, the same bytes the `sweep`
+//! invocation writes for that campaign.
+//!
 //! A mismatch prints the whole recomputed table. Paste it over `PINS`
 //! only when the change in simulated behaviour is deliberate.
 
 use obfusmem::core::backend::ObfusMemBackend;
 use obfusmem::core::config::ObfusMemConfig;
+use obfusmem::core::link::ALL_FAULT_KINDS;
 use obfusmem::core::recovery::RecoveryStats;
 use obfusmem::cpu::core::MemoryBackend;
-use obfusmem::mem::config::MemConfig;
+use obfusmem::mem::config::{BackendKind, MemConfig};
 use obfusmem::mem::fault::{DeviceFaultKind, DeviceFaultPlan};
 use obfusmem::mem::request::BlockAddr;
 use obfusmem::obs::metrics::MetricsNode;
 use obfusmem::sim::time::{Duration, Time};
+use obfusmem_harness::job::run_job;
+use obfusmem_harness::measure::Scheme;
+use obfusmem_harness::sink::encode_row;
+use obfusmem_harness::spec::SweepSpec;
 use obfusmem_tenant::fabric::{FabricConfig, SessionFabric};
 
 /// FNV-1a, 64 bit.
@@ -208,4 +219,51 @@ fn both_ladders_match_their_known_answers() {
         BACKEND_GIVE_UP,
         "backend give-up (stats, clock) per round"
     );
+}
+
+/// `(backend, rows, FNV-1a of the rows)` for the fault campaign: every
+/// link fault kind at rate 0.001 under fault seed 0xFA017 and master
+/// seed 0xC1C1, 50k instructions of micro under ObfusMem+Auth.
+const FAULT_CAMPAIGN_PINS: [(BackendKind, usize, u64); 2] = [
+    (BackendKind::Reservation, 6, 0xa212_4dd5_b20c_d82f),
+    (BackendKind::Queued, 6, 0x115c_68cb_585d_61d5),
+];
+
+#[test]
+fn fault_campaign_rows_match_their_known_answer() {
+    for (backend, rows, digest) in FAULT_CAMPAIGN_PINS {
+        let spec = SweepSpec {
+            workloads: vec!["micro".into()],
+            schemes: vec![Scheme::ObfusmemAuth],
+            backends: vec![backend],
+            fault_kinds: ALL_FAULT_KINDS.to_vec(),
+            fault_rates: vec![0.001],
+            fault_seed: 0xFA017,
+            master_seed: 0xC1C1,
+            instructions: 50_000,
+            ..SweepSpec::default()
+        };
+        let jobs = spec.expand().expect("the campaign grid is valid");
+        let mut text = String::new();
+        let mut unrecovered = 0;
+        for job in &jobs {
+            let out = run_job(job);
+            let rec = out.recovery().expect("every campaign row engages the link");
+            unrecovered += rec.counter("unrecovered").expect("unrecovered counter");
+            text.push_str(&encode_row(&out, false));
+            text.push('\n');
+        }
+        let mut h = Fnv::new();
+        h.bytes(text.as_bytes());
+        assert_eq!(
+            unrecovered, 0,
+            "{backend:?}: every injected fault must heal"
+        );
+        assert_eq!(
+            (jobs.len(), h.0),
+            (rows, digest),
+            "{backend:?} campaign rows moved; recomputed digest {:#018x}, rows:\n{text}",
+            h.0
+        );
+    }
 }
