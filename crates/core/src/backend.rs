@@ -233,7 +233,7 @@ impl ObfusMemBackend {
     }
 
     /// Link recovery counters, when the fault-injecting link is active.
-    pub fn link_stats(&self) -> Option<&LinkStats> {
+    pub fn link_stats(&self) -> Option<LinkStats> {
         self.link.as_ref().map(|l| l.stats())
     }
 

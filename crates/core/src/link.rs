@@ -156,7 +156,10 @@ pub struct DeliveryOutcome {
     pub delay: Duration,
 }
 
-/// Aggregate recovery counters and latency distribution (all channels).
+/// Recovery counters and latency distribution. The link keeps one per
+/// channel, so the observability snapshot can show *which* channel's
+/// link is degrading before quarantine re-steers its traffic;
+/// [`FaultyLink::stats`] is their sum.
 #[derive(Debug, Clone, Default)]
 pub struct LinkStats {
     /// Faults the injector actually fired.
@@ -183,29 +186,35 @@ pub struct LinkStats {
     pub recovery_latency_ns: Histogram,
 }
 
-/// Per-channel ARQ counters: the slice of [`LinkStats`] attributable to
-/// one channel, so the observability snapshot can show *which* channel's
-/// link is degrading before quarantine re-steers its traffic.
-#[derive(Debug, Clone, Default)]
-pub struct ChannelArqStats {
-    /// Faults injected on this channel's frames.
-    pub faults_injected: Counter,
-    /// Data frames retransmitted.
-    pub retransmits: Counter,
-    /// Memory-side NACKs.
-    pub nacks: Counter,
-    /// Authenticated counter-resynchronizations.
-    pub resyncs: Counter,
-    /// Session re-keys.
-    pub rekeys: Counter,
-    /// Quarantine events (0 or 1 per channel).
-    pub quarantines: Counter,
-    /// Frames discarded by the link CRC.
-    pub crc_drops: Counter,
-    /// Stale-sequence frames discarded.
-    pub stale_discards: Counter,
-    /// Force-reset deliveries.
-    pub unrecovered: Counter,
+impl LinkStats {
+    /// The event counters, by metric name.
+    fn counters(&self) -> [(&'static str, u64); 9] {
+        [
+            ("faults_injected", self.faults_injected.get()),
+            ("retransmits", self.retransmits.get()),
+            ("nacks", self.nacks.get()),
+            ("resyncs", self.resyncs.get()),
+            ("rekeys", self.rekeys.get()),
+            ("quarantines", self.quarantines.get()),
+            ("crc_drops", self.crc_drops.get()),
+            ("stale_discards", self.stale_discards.get()),
+            ("unrecovered", self.unrecovered.get()),
+        ]
+    }
+
+    /// Adds `other`'s counters and latency samples to these.
+    fn merge(&mut self, other: &LinkStats) {
+        self.faults_injected.add(other.faults_injected.get());
+        self.retransmits.add(other.retransmits.get());
+        self.nacks.add(other.nacks.get());
+        self.resyncs.add(other.resyncs.get());
+        self.rekeys.add(other.rekeys.get());
+        self.quarantines.add(other.quarantines.get());
+        self.crc_drops.add(other.crc_drops.get());
+        self.stale_discards.add(other.stale_discards.get());
+        self.unrecovered.add(other.unrecovered.get());
+        self.recovery_latency_ns.merge(&other.recovery_latency_ns);
+    }
 }
 
 /// Per-channel link protocol state.
@@ -223,8 +232,9 @@ struct ChannelLinkState {
     epoch: u64,
     /// Quarantined channels carry no traffic.
     quarantined: bool,
-    /// Last successfully delivered frame, kept as replay-attack fodder.
-    last_sent: Option<(u64, BusPacket, BusPacket)>,
+    /// Last successfully delivered frame and its sequence number, kept
+    /// as replay-attack fodder.
+    last_sent: Option<(u64, Frame<2>)>,
 }
 
 impl ChannelLinkState {
@@ -238,6 +248,26 @@ impl ChannelLinkState {
             quarantined: false,
             last_sent: None,
         }
+    }
+}
+
+/// One frame on the wire: a request pair (`N = 2`) or a read reply
+/// (`N = 1`), with the link CRC its sender computed over the data lanes.
+#[derive(Debug, Clone)]
+struct Frame<const N: usize> {
+    packets: [BusPacket; N],
+    crc: u32,
+}
+
+impl<const N: usize> Frame<N> {
+    fn new(packets: [BusPacket; N]) -> Self {
+        let crc = data_crc(&packets);
+        Frame { packets, crc }
+    }
+
+    /// False when a flip landed in a data lane.
+    fn crc_ok(&self) -> bool {
+        data_crc(&self.packets) == self.crc
     }
 }
 
@@ -257,13 +287,8 @@ enum Fate {
 
 /// Micro-simulation events for one request delivery.
 enum Ev {
-    /// A data frame arriving at the memory side.
-    Data {
-        seq: u64,
-        real: BusPacket,
-        dummy: BusPacket,
-        crc: u32,
-    },
+    /// Request frame `seq` arriving at the memory side.
+    Data { seq: u64, frame: Frame<2> },
     /// An ACK arriving back at the processor.
     Ack { seq: u64 },
     /// A NACK (memory-side MAC/parse failure) arriving at the processor.
@@ -277,7 +302,7 @@ enum Ev {
 /// Micro-simulation events for one read-reply delivery.
 enum REv {
     /// The encrypted reply arriving at the processor.
-    Reply { packet: BusPacket, crc: u32 },
+    Reply(Frame<1>),
     /// A poll/NACK arriving at the memory side (resend request).
     Poll,
     /// Reply timeout for attempt `attempt`.
@@ -291,8 +316,8 @@ pub struct FaultyLink {
     plan: FaultPlan,
     rng: SplitMix64,
     channels: Vec<ChannelLinkState>,
-    stats: LinkStats,
-    ch_stats: Vec<ChannelArqStats>,
+    /// Recovery counters, one entry per channel.
+    stats: Vec<LinkStats>,
 }
 
 impl FaultyLink {
@@ -303,19 +328,22 @@ impl FaultyLink {
             plan,
             rng: SplitMix64::new(plan.seed).split_named("faulty-link"),
             channels: vec![ChannelLinkState::new(); channels],
-            stats: LinkStats::default(),
-            ch_stats: vec![ChannelArqStats::default(); channels],
+            stats: vec![LinkStats::default(); channels],
         }
     }
 
-    /// Aggregate recovery counters.
-    pub fn stats(&self) -> &LinkStats {
-        &self.stats
+    /// Recovery counters summed over every channel.
+    pub fn stats(&self) -> LinkStats {
+        let mut total = LinkStats::default();
+        for ch in &self.stats {
+            total.merge(ch);
+        }
+        total
     }
 
-    /// Per-channel ARQ counters.
-    pub fn channel_stats(&self, channel: usize) -> &ChannelArqStats {
-        &self.ch_stats[channel]
+    /// One channel's recovery counters.
+    pub fn channel_stats(&self, channel: usize) -> &LinkStats {
+        &self.stats[channel]
     }
 
     /// True when `channel` has been quarantined.
@@ -372,8 +400,7 @@ impl FaultyLink {
             Fate::Intact
         };
         if !matches!(fate, Fate::Intact) {
-            self.stats.faults_injected.incr();
-            self.ch_stats[channel].faults_injected.incr();
+            self.stats[channel].faults_injected.incr();
         }
         fate
     }
@@ -387,13 +414,11 @@ impl FaultyLink {
     /// delivered.
     fn control_fate(&mut self, channel: usize) -> Option<Duration> {
         if self.rng.chance(self.plan.drop) {
-            self.stats.faults_injected.incr();
-            self.ch_stats[channel].faults_injected.incr();
+            self.stats[channel].faults_injected.incr();
             return None;
         }
         if self.rng.chance(self.plan.delay_burst) || self.rng.chance(self.plan.reorder) {
-            self.stats.faults_injected.incr();
-            self.ch_stats[channel].faults_injected.incr();
+            self.stats[channel].faults_injected.incr();
             let bursts = 1 + self.rng.below(2);
             return Some(Duration::from_ps(self.cfg.ack_timeout.as_ps() * bursts));
         }
@@ -401,107 +426,119 @@ impl FaultyLink {
     }
 
     /// Flips one uniformly random bit across the concatenated wire
-    /// layout `real.header ‖ real.data ‖ real.tag ‖ dummy.…`.
-    fn flip_random_bit(&mut self, real: &mut BusPacket, dummy: &mut BusPacket) {
-        let total = (real.wire_bytes() + dummy.wire_bytes()) as u64;
-        let pos = self.rng.below(total) as usize;
+    /// layout of `packets`, each laid out `header ‖ data ‖ tag`.
+    fn flip_random_bit(&mut self, packets: &mut [BusPacket]) {
+        let total: usize = packets.iter().map(BusPacket::wire_bytes).sum();
+        let mut pos = self.rng.below(total as u64) as usize;
         let bit = 1u8 << self.rng.below(8);
-        flip_at(real, dummy, pos, bit);
+        for pkt in packets {
+            let lanes = [
+                Some(&mut pkt.header_ct[..]),
+                pkt.data_ct.as_mut().map(|d| &mut d[..]),
+                pkt.tag.as_mut().map(|t| &mut t[..]),
+            ];
+            for lane in lanes.into_iter().flatten() {
+                if pos < lane.len() {
+                    lane[pos] ^= bit;
+                    return;
+                }
+                pos -= lane.len();
+            }
+        }
     }
 
-    /// Transmits (or mis-transmits) the data frame for `seq`,
-    /// scheduling its arrival(s) on the micro-sim queue.
+    /// Schedules the copies of `frame` that arrive under `fate`, built
+    /// into events by `arrive_as`: none when dropped, two when
+    /// duplicated, one `hold_ps` late when replayed or delayed, and one
+    /// on time otherwise (with one bit flipped under [`Fate::Flip`]).
+    fn schedule<E, const N: usize>(
+        &mut self,
+        q: &mut EventQueue<E>,
+        t: Time,
+        fate: Fate,
+        hold_ps: u64,
+        frame: &Frame<N>,
+        arrive_as: impl Fn(Frame<N>) -> E,
+    ) {
+        let arrive = t + self.cfg.frame_latency;
+        match fate {
+            Fate::Intact => q.push(arrive, arrive_as(frame.clone())),
+            Fate::Flip => {
+                let mut copy = frame.clone();
+                self.flip_random_bit(&mut copy.packets);
+                q.push(arrive, arrive_as(copy));
+            }
+            Fate::Drop => {}
+            Fate::Duplicate => {
+                q.push(arrive, arrive_as(frame.clone()));
+                q.push(arrive + self.cfg.frame_latency, arrive_as(frame.clone()));
+            }
+            Fate::Replay | Fate::Delay { .. } => {
+                q.push(
+                    arrive + Duration::from_ps(hold_ps),
+                    arrive_as(frame.clone()),
+                );
+            }
+        }
+    }
+
+    /// Transmits (or mis-transmits) request frame `seq`.
     fn send_data(
         &mut self,
         q: &mut EventQueue<Ev>,
         t: Time,
         channel: usize,
         seq: u64,
-        pair: &ObfuscatedPair,
+        frame: &Frame<2>,
     ) {
-        let arrive = t + self.cfg.frame_latency;
-        let crc = frame_crc(&pair.real, &pair.dummy);
-        match self.sample_fate(channel) {
-            Fate::Intact => q.push(
-                arrive,
-                Ev::Data {
-                    seq,
-                    real: pair.real.clone(),
-                    dummy: pair.dummy.clone(),
-                    crc,
-                },
-            ),
-            Fate::Flip => {
-                let mut real = pair.real.clone();
-                let mut dummy = pair.dummy.clone();
-                self.flip_random_bit(&mut real, &mut dummy);
-                q.push(
-                    arrive,
-                    Ev::Data {
-                        seq,
-                        real,
-                        dummy,
-                        crc,
-                    },
-                );
-            }
-            Fate::Drop => {}
-            Fate::Duplicate => {
-                for k in 0..2u64 {
-                    q.push(
-                        arrive + Duration::from_ps(self.cfg.frame_latency.as_ps() * k),
-                        Ev::Data {
-                            seq,
-                            real: pair.real.clone(),
-                            dummy: pair.dummy.clone(),
-                            crc,
-                        },
-                    );
-                }
-            }
+        let fate = self.sample_fate(channel);
+        let ack = self.cfg.ack_timeout.as_ps();
+        let hold = match fate {
             Fate::Replay => {
                 // The captured previous frame is injected just ahead of
                 // the current one. Its stale sequence number gets it
                 // discarded before any pad is consumed.
-                if let Some((old_seq, old_real, old_dummy)) =
-                    self.channels[channel].last_sent.clone()
-                {
-                    let old_crc = frame_crc(&old_real, &old_dummy);
-                    q.push(
-                        arrive,
-                        Ev::Data {
-                            seq: old_seq,
-                            real: old_real,
-                            dummy: old_dummy,
-                            crc: old_crc,
-                        },
-                    );
+                if let Some((seq, frame)) = self.channels[channel].last_sent.clone() {
+                    q.push(t + self.cfg.frame_latency, Ev::Data { seq, frame });
                 }
-                q.push(
-                    arrive + Duration::from_ps(1),
-                    Ev::Data {
-                        seq,
-                        real: pair.real.clone(),
-                        dummy: pair.dummy.clone(),
-                        crc,
-                    },
-                );
+                1
             }
-            Fate::Delay { bursts } => {
-                // Held back past `bursts` timeouts (plus a half to land
-                // clearly after the retransmission that overtakes it).
-                let hold = self.cfg.ack_timeout.as_ps() * bursts + self.cfg.ack_timeout.as_ps() / 2;
-                q.push(
-                    arrive + Duration::from_ps(hold),
-                    Ev::Data {
-                        seq,
-                        real: pair.real.clone(),
-                        dummy: pair.dummy.clone(),
-                        crc,
-                    },
-                );
-            }
-        }
+            // Held back past `bursts` timeouts (plus a half to land
+            // clearly after the retransmission that overtakes it).
+            Fate::Delay { bursts } => ack * bursts + ack / 2,
+            _ => 0,
+        };
+        self.schedule(q, t, fate, hold, frame, |frame| Ev::Data { seq, frame });
+    }
+
+    /// Transmits (or mis-transmits) a reply frame. A replayed reply
+    /// carries a stale counter's ciphertext; its MAC/CRC mismatch makes
+    /// it equivalent to a flip, and the wire effect of holding the fresh
+    /// one back is a delay, so any held-back reply is 1.5 timeouts late.
+    fn send_reply(&mut self, q: &mut EventQueue<REv>, t: Time, channel: usize, frame: &Frame<1>) {
+        let fate = self.sample_fate(channel);
+        let hold = self.cfg.ack_timeout.as_ps() * 3 / 2;
+        self.schedule(q, t, fate, hold, frame, REv::Reply);
+    }
+
+    /// Sends the next attempt of request frame `seq` at `at` and arms its
+    /// timeout.
+    fn retransmit(
+        &mut self,
+        q: &mut EventQueue<Ev>,
+        at: Time,
+        channel: usize,
+        seq: u64,
+        frame: &Frame<2>,
+        attempt: &mut u32,
+    ) {
+        *attempt += 1;
+        self.stats[channel].retransmits.incr();
+        self.send_data(q, at, channel, seq, frame);
+        q.push(
+            at + self.timeout_after(*attempt),
+            Ev::Timeout { attempt: *attempt },
+        );
     }
 
     /// Sends a control frame, subject to [`Self::control_fate`].
@@ -523,8 +560,7 @@ impl FaultyLink {
             return false;
         }
         self.channels[channel].quarantined = true;
-        self.stats.quarantines.incr();
-        self.ch_stats[channel].quarantines.incr();
+        self.stats[channel].quarantines.incr();
         true
     }
 
@@ -556,6 +592,7 @@ impl FaultyLink {
         }
 
         let mut pair = obfuscate_for(proc, now, channel, delivery)?;
+        let mut frame = Frame::new([pair.real.clone(), pair.dummy.clone()]);
         let seq = self.channels[channel].next_seq;
         let mut attempt: u32 = 0;
         let mut decoded: Option<(DecodedRequest, Option<DecodedRequest>)> = None;
@@ -564,7 +601,7 @@ impl FaultyLink {
         let clean_done = now + self.cfg.frame_latency + self.cfg.frame_latency;
 
         let mut q: EventQueue<Ev> = EventQueue::new();
-        self.send_data(&mut q, now, channel, seq, &pair);
+        self.send_data(&mut q, now, channel, seq, &frame);
         q.push(now + self.timeout_after(attempt), Ev::Timeout { attempt });
 
         while let Some((t, ev)) = q.pop() {
@@ -574,29 +611,26 @@ impl FaultyLink {
             match ev {
                 Ev::Data {
                     seq: fseq,
-                    real,
-                    dummy,
-                    crc,
+                    frame: got,
                 } => {
                     // Link CRC over the data lanes: transmission flips
                     // that land there are rejected before decode — the
                     // counter is untouched and a timeout retransmission
                     // heals the loss.
-                    if frame_crc(&real, &dummy) != crc {
-                        self.stats.crc_drops.incr();
-                        self.ch_stats[channel].crc_drops.incr();
+                    if !got.crc_ok() {
+                        self.stats[channel].crc_drops.incr();
                         continue;
                     }
                     if fseq != self.channels[channel].expected_seq {
                         // Duplicate or replayed frame: discard without
                         // touching the CTR stream; re-ACK so a sender
                         // whose ACK was lost can still complete.
-                        self.stats.stale_discards.incr();
-                        self.ch_stats[channel].stale_discards.incr();
+                        self.stats[channel].stale_discards.incr();
                         self.send_control(&mut q, t, channel, Ev::Ack { seq: fseq });
                         continue;
                     }
-                    match receive_for(mem, delivery, &real, &dummy) {
+                    let [real, dummy] = &got.packets;
+                    match receive_for(mem, delivery, real, dummy) {
                         Ok(out) => {
                             self.channels[channel].expected_seq = fseq + 1;
                             decoded = Some(out);
@@ -607,8 +641,7 @@ impl FaultyLink {
                             // parked at base+2; ask the processor to
                             // repair it.
                             self.channels[channel].integrity_failures += 1;
-                            self.stats.nacks.incr();
-                            self.ch_stats[channel].nacks.incr();
+                            self.stats[channel].nacks.incr();
                             self.send_control(&mut q, t, channel, Ev::Nack { seq: fseq });
                         }
                     }
@@ -616,68 +649,6 @@ impl FaultyLink {
                 Ev::Ack { seq: aseq } => {
                     if aseq == seq {
                         acked_at = Some(t);
-                    }
-                }
-                Ev::Nack { seq: nseq } => {
-                    if nseq != seq {
-                        continue;
-                    }
-                    if attempt >= self.cfg.max_retries {
-                        let (t_done, out) =
-                            self.force_clean(t, channel, proc, mem, &pair, seq, delivery)?;
-                        decoded = Some(out);
-                        acked_at = Some(t_done);
-                        continue;
-                    }
-                    let escalate =
-                        self.channels[channel].integrity_failures >= self.cfg.rekey_threshold;
-                    if escalate {
-                        // Session re-key: both ends derive the next key
-                        // from the current one and the epoch; the frame
-                        // must be re-obfuscated under the new session.
-                        let st = &mut self.channels[channel];
-                        st.rekeys += 1;
-                        st.integrity_failures = 0;
-                        st.epoch += 1;
-                        let epoch = st.epoch;
-                        let rekeys = st.rekeys;
-                        self.stats.rekeys.incr();
-                        self.ch_stats[channel].rekeys.incr();
-                        if rekeys >= self.cfg.quarantine_threshold && self.quarantine(channel) {
-                            return Err(ObfusMemError::ChannelQuarantined { channel });
-                        }
-                        proc.rekey_channel(channel, epoch)?;
-                        mem.rekey(epoch);
-                        pair = obfuscate_for(proc, now, channel, delivery)?;
-                        attempt += 1;
-                        self.stats.retransmits.incr();
-                        self.ch_stats[channel].retransmits.incr();
-                        let resume = t + self.cfg.rekey_latency;
-                        self.send_data(&mut q, resume, channel, seq, &pair);
-                        q.push(
-                            resume + self.timeout_after(attempt),
-                            Ev::Timeout { attempt },
-                        );
-                    } else {
-                        // Counter resynchronization: authenticated rewind
-                        // to the pair's base, then retransmit. The resync
-                        // frame leads the retransmission (resync_latency
-                        // > frame_latency) so the stream is repaired
-                        // before the data arrives again.
-                        self.stats.resyncs.incr();
-                        self.ch_stats[channel].resyncs.incr();
-                        let target = pair.base_counter;
-                        let tag = proc.resync_tag(channel, seq, target)?;
-                        self.send_control(&mut q, t, channel, Ev::Resync { seq, target, tag });
-                        attempt += 1;
-                        self.stats.retransmits.incr();
-                        self.ch_stats[channel].retransmits.incr();
-                        let resume = t + self.cfg.resync_latency;
-                        self.send_data(&mut q, resume, channel, seq, &pair);
-                        q.push(
-                            resume + self.timeout_after(attempt),
-                            Ev::Timeout { attempt },
-                        );
                     }
                 }
                 Ev::Resync {
@@ -689,8 +660,7 @@ impl FaultyLink {
                     // still pending; once the frame decoded, a straggling
                     // resync must not rewind the stream again.
                     if rseq != self.channels[channel].expected_seq {
-                        self.stats.stale_discards.incr();
-                        self.ch_stats[channel].stale_discards.incr();
+                        self.stats[channel].stale_discards.incr();
                         continue;
                     }
                     // A forged/corrupt tag is rejected inside (and
@@ -698,22 +668,53 @@ impl FaultyLink {
                     // another NACK round.
                     let _ = mem.apply_resync(rseq, target, &tag);
                 }
-                Ev::Timeout { attempt: ta } => {
-                    if ta != attempt || acked_at.is_some() {
-                        continue;
+                // NACKs of other frames and timers of superseded
+                // attempts are ignored.
+                Ev::Nack { seq: nseq } if nseq != seq => {}
+                Ev::Timeout { attempt: ta } if ta != attempt => {}
+                Ev::Nack { .. } | Ev::Timeout { .. } if attempt >= self.cfg.max_retries => {
+                    let (t_done, out) =
+                        self.force_clean(t, channel, proc, mem, &pair, seq, delivery)?;
+                    decoded = Some(out);
+                    acked_at = Some(t_done);
+                }
+                Ev::Nack { .. }
+                    if self.channels[channel].integrity_failures >= self.cfg.rekey_threshold =>
+                {
+                    // Session re-key: both ends derive the next key from
+                    // the current one and the epoch; the frame must be
+                    // re-obfuscated under the new session.
+                    let st = &mut self.channels[channel];
+                    st.rekeys += 1;
+                    st.integrity_failures = 0;
+                    st.epoch += 1;
+                    let (epoch, rekeys) = (st.epoch, st.rekeys);
+                    self.stats[channel].rekeys.incr();
+                    if rekeys >= self.cfg.quarantine_threshold && self.quarantine(channel) {
+                        return Err(ObfusMemError::ChannelQuarantined { channel });
                     }
-                    if attempt >= self.cfg.max_retries {
-                        let (t_done, out) =
-                            self.force_clean(t, channel, proc, mem, &pair, seq, delivery)?;
-                        decoded = Some(out);
-                        acked_at = Some(t_done);
-                        continue;
-                    }
-                    attempt += 1;
-                    self.stats.retransmits.incr();
-                    self.ch_stats[channel].retransmits.incr();
-                    self.send_data(&mut q, t, channel, seq, &pair);
-                    q.push(t + self.timeout_after(attempt), Ev::Timeout { attempt });
+                    proc.rekey_channel(channel, epoch)?;
+                    mem.rekey(epoch);
+                    pair = obfuscate_for(proc, now, channel, delivery)?;
+                    frame = Frame::new([pair.real.clone(), pair.dummy.clone()]);
+                    let resume = t + self.cfg.rekey_latency;
+                    self.retransmit(&mut q, resume, channel, seq, &frame, &mut attempt);
+                }
+                Ev::Nack { .. } => {
+                    // Counter resynchronization: authenticated rewind to
+                    // the pair's base, then retransmit. The resync frame
+                    // leads the retransmission (resync_latency >
+                    // frame_latency) so the stream is repaired before the
+                    // data arrives again.
+                    self.stats[channel].resyncs.incr();
+                    let target = pair.base_counter;
+                    let tag = proc.resync_tag(channel, seq, target)?;
+                    self.send_control(&mut q, t, channel, Ev::Resync { seq, target, tag });
+                    let resume = t + self.cfg.resync_latency;
+                    self.retransmit(&mut q, resume, channel, seq, &frame, &mut attempt);
+                }
+                Ev::Timeout { .. } => {
+                    self.retransmit(&mut q, t, channel, seq, &frame, &mut attempt);
                 }
             }
         }
@@ -723,10 +724,12 @@ impl FaultyLink {
             decoded.expect("an ACKed delivery always carries its decode result");
         let st = &mut self.channels[channel];
         st.next_seq = seq + 1;
-        st.last_sent = Some((seq, pair.real.clone(), pair.dummy.clone()));
+        st.last_sent = Some((seq, frame));
         let delay = finished.since(clean_done);
         if delay > Duration::ZERO {
-            self.stats.recovery_latency_ns.record(delay.as_ns());
+            self.stats[channel]
+                .recovery_latency_ns
+                .record(delay.as_ns());
         }
         Ok(DeliveryOutcome {
             pair,
@@ -751,8 +754,7 @@ impl FaultyLink {
         seq: u64,
         delivery: Delivery<'_>,
     ) -> Result<(Time, (DecodedRequest, Option<DecodedRequest>)), ObfusMemError> {
-        self.stats.unrecovered.incr();
-        self.ch_stats[channel].unrecovered.incr();
+        self.stats[channel].unrecovered.incr();
         let target = pair.base_counter;
         let tag = proc.resync_tag(channel, seq, target)?;
         mem.apply_resync(seq, target, &tag)
@@ -767,9 +769,9 @@ impl FaultyLink {
     ///
     /// The memory side's [`encrypt_reply`](MemoryEngine::encrypt_reply)
     /// is stateless (pads are regenerated at `base_counter + 2`), so a
-    /// lost or corrupted reply is simply regenerated and resent; no
-    /// counter state is at risk in this direction. Returns the decrypted
-    /// data plus the extra recovery latency.
+    /// lost or corrupted reply is simply resent; no counter state is at
+    /// risk in this direction. Returns the decrypted data plus the extra
+    /// recovery latency.
     ///
     /// Corruption is caught by the reply MAC when authentication is on,
     /// and by the link CRC otherwise; in both cases the processor polls
@@ -783,7 +785,7 @@ impl FaultyLink {
         base_counter: u64,
         stored: &BlockData,
     ) -> Result<(BlockData, Duration), ObfusMemError> {
-        let reply = mem.encrypt_reply(base_counter, stored);
+        let reply = Frame::new([mem.encrypt_reply(base_counter, stored)]);
         let clean_done = now + self.cfg.frame_latency;
         let mut attempt: u32 = 0;
         let mut accepted: Option<(Time, BusPacket)> = None;
@@ -797,56 +799,35 @@ impl FaultyLink {
                 break;
             }
             match ev {
-                REv::Reply { packet, crc } => {
-                    if reply_crc(&packet) != crc {
-                        self.stats.crc_drops.incr();
-                        self.ch_stats[channel].crc_drops.incr();
+                REv::Reply(frame) => {
+                    if !frame.crc_ok() {
+                        self.stats[channel].crc_drops.incr();
                         continue;
                     }
+                    let [packet] = frame.packets;
                     match proc.verify_reply(channel, base_counter, &packet) {
                         Ok(()) => accepted = Some((t, packet)),
                         Err(_) => {
                             // Reply MAC mismatch: poll the memory side
-                            // for a resend (its reply generation is
-                            // stateless).
-                            self.stats.nacks.incr();
-                            self.ch_stats[channel].nacks.incr();
+                            // for a resend.
+                            self.stats[channel].nacks.incr();
                             if let Some(extra) = self.control_fate(channel) {
                                 q.push(t + self.cfg.frame_latency + extra, REv::Poll);
                             }
                         }
                     }
                 }
-                REv::Poll => {
-                    if attempt >= self.cfg.max_retries {
-                        accepted = Some((t, reply.clone()));
-                        self.stats.unrecovered.incr();
-                        self.ch_stats[channel].unrecovered.incr();
-                        continue;
-                    }
-                    attempt += 1;
-                    self.stats.retransmits.incr();
-                    self.ch_stats[channel].retransmits.incr();
-                    let regenerated = mem.encrypt_reply(base_counter, stored);
-                    self.send_reply(&mut q, t, channel, &regenerated);
-                    q.push(t + self.timeout_after(attempt), REv::Timeout { attempt });
+                REv::Timeout { attempt: ta } if ta != attempt => {}
+                REv::Poll | REv::Timeout { .. } if attempt >= self.cfg.max_retries => {
+                    // Forced clean: accept the pristine reply.
+                    let [pristine] = &reply.packets;
+                    accepted = Some((t, pristine.clone()));
+                    self.stats[channel].unrecovered.incr();
                 }
-                REv::Timeout { attempt: ta } => {
-                    if ta != attempt || accepted.is_some() {
-                        continue;
-                    }
-                    if attempt >= self.cfg.max_retries {
-                        // Forced clean: accept the pristine reply.
-                        accepted = Some((t, reply.clone()));
-                        self.stats.unrecovered.incr();
-                        self.ch_stats[channel].unrecovered.incr();
-                        continue;
-                    }
+                REv::Poll | REv::Timeout { .. } => {
                     attempt += 1;
-                    self.stats.retransmits.incr();
-                    self.ch_stats[channel].retransmits.incr();
-                    let regenerated = mem.encrypt_reply(base_counter, stored);
-                    self.send_reply(&mut q, t, channel, &regenerated);
+                    self.stats[channel].retransmits.incr();
+                    self.send_reply(&mut q, t, channel, &reply);
                     q.push(t + self.timeout_after(attempt), REv::Timeout { attempt });
                 }
             }
@@ -859,91 +840,28 @@ impl FaultyLink {
         let data = proc.decrypt_reply(channel, base_counter, &ct)?;
         let delay = t_done.since(clean_done);
         if delay > Duration::ZERO {
-            self.stats.recovery_latency_ns.record(delay.as_ns());
+            self.stats[channel]
+                .recovery_latency_ns
+                .record(delay.as_ns());
         }
         Ok((data, delay))
-    }
-
-    /// Transmits (or mis-transmits) a reply frame.
-    fn send_reply(&mut self, q: &mut EventQueue<REv>, t: Time, channel: usize, reply: &BusPacket) {
-        let arrive = t + self.cfg.frame_latency;
-        let crc = reply_crc(reply);
-        match self.sample_fate(channel) {
-            Fate::Intact => q.push(
-                arrive,
-                REv::Reply {
-                    packet: reply.clone(),
-                    crc,
-                },
-            ),
-            Fate::Flip => {
-                let mut packet = reply.clone();
-                let mut scratch = BusPacket {
-                    header_ct: [0u8; 16],
-                    data_ct: None,
-                    tag: None,
-                };
-                let total = packet.wire_bytes() as u64;
-                let pos = self.rng.below(total) as usize;
-                let bit = 1u8 << self.rng.below(8);
-                flip_at(&mut packet, &mut scratch, pos, bit);
-                q.push(arrive, REv::Reply { packet, crc });
-            }
-            Fate::Drop => {}
-            Fate::Duplicate => {
-                for k in 0..2u64 {
-                    q.push(
-                        arrive + Duration::from_ps(self.cfg.frame_latency.as_ps() * k),
-                        REv::Reply {
-                            packet: reply.clone(),
-                            crc,
-                        },
-                    );
-                }
-            }
-            // A replayed reply carries a stale counter's ciphertext; its
-            // MAC/CRC mismatch makes it equivalent to a flip, and the
-            // wire effect of holding the fresh one back is a delay.
-            Fate::Replay | Fate::Delay { .. } => {
-                let hold = self.cfg.ack_timeout.as_ps() * 3 / 2;
-                q.push(
-                    arrive + Duration::from_ps(hold),
-                    REv::Reply {
-                        packet: reply.clone(),
-                        crc,
-                    },
-                );
-            }
-        }
     }
 }
 
 impl Observable for FaultyLink {
-    /// Reports the aggregate ARQ counters plus the per-channel breakdown
-    /// under `ch<N>` (including each channel's quarantine flag).
+    /// Reports the summed ARQ counters and recovery latencies, plus each
+    /// channel's counters and quarantine flag under `ch<N>`.
     fn observe(&self, out: &mut MetricsNode) {
-        let s = &self.stats;
-        out.set_counter("faults_injected", s.faults_injected.get());
-        out.set_counter("retransmits", s.retransmits.get());
-        out.set_counter("nacks", s.nacks.get());
-        out.set_counter("resyncs", s.resyncs.get());
-        out.set_counter("rekeys", s.rekeys.get());
-        out.set_counter("quarantines", s.quarantines.get());
-        out.set_counter("crc_drops", s.crc_drops.get());
-        out.set_counter("stale_discards", s.stale_discards.get());
-        out.set_counter("unrecovered", s.unrecovered.get());
-        out.set_histogram("recovery_latency_ns", &s.recovery_latency_ns);
-        for (i, (ch, st)) in self.ch_stats.iter().zip(self.channels.iter()).enumerate() {
+        let total = self.stats();
+        for (name, n) in total.counters() {
+            out.set_counter(name, n);
+        }
+        out.set_histogram("recovery_latency_ns", &total.recovery_latency_ns);
+        for (i, (ch, st)) in self.stats.iter().zip(&self.channels).enumerate() {
             let node = out.child(&format!("ch{i}"));
-            node.set_counter("faults_injected", ch.faults_injected.get());
-            node.set_counter("retransmits", ch.retransmits.get());
-            node.set_counter("nacks", ch.nacks.get());
-            node.set_counter("resyncs", ch.resyncs.get());
-            node.set_counter("rekeys", ch.rekeys.get());
-            node.set_counter("quarantines", ch.quarantines.get());
-            node.set_counter("crc_drops", ch.crc_drops.get());
-            node.set_counter("stale_discards", ch.stale_discards.get());
-            node.set_counter("unrecovered", ch.unrecovered.get());
+            for (name, n) in ch.counters() {
+                node.set_counter(name, n);
+            }
             node.set_counter("quarantined", st.quarantined as u64);
         }
     }
@@ -979,69 +897,20 @@ pub(crate) fn receive_for(
     }
 }
 
-/// Flips `bit` at byte `pos` of the concatenated wire layout
-/// `real.header ‖ real.data ‖ real.tag ‖ dummy.header ‖ dummy.data ‖
-/// dummy.tag`.
-fn flip_at(real: &mut BusPacket, dummy: &mut BusPacket, mut pos: usize, bit: u8) {
-    for pkt in [real, dummy] {
-        if pos < 16 {
-            pkt.header_ct[pos] ^= bit;
-            return;
-        }
-        pos -= 16;
-        if let Some(d) = pkt.data_ct.as_mut() {
-            if pos < 64 {
-                d[pos] ^= bit;
-                return;
-            }
-            pos -= 64;
-        }
-        if let Some(t) = pkt.tag.as_mut() {
-            if pos < 8 {
-                t[pos] ^= bit;
-                return;
-            }
-            pos -= 8;
-        }
-    }
-}
-
-/// CRC-32 (reflected, polynomial 0xEDB88320), computed bitwise — this
-/// is a model, not a hot path.
-fn crc32(segments: &[&[u8]]) -> u32 {
+/// Link CRC over the data-ciphertext lanes of `packets`: the MAC
+/// already binds the headers (§3.5), so a data-less frame has nothing to
+/// protect. CRC-32 (reflected, polynomial 0xEDB88320), computed bitwise
+/// — this is a model, not a hot path.
+fn data_crc(packets: &[BusPacket]) -> u32 {
     let mut crc: u32 = 0xFFFF_FFFF;
-    for seg in segments {
-        for &byte in *seg {
-            crc ^= u32::from(byte);
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
+    for &byte in packets.iter().filter_map(|p| p.data_ct.as_ref()).flatten() {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
         }
     }
     !crc
-}
-
-/// Link CRC over a request frame: covers only the data-ciphertext lanes
-/// (the MAC already binds the headers — §3.5); nothing to protect on
-/// data-less frames.
-fn frame_crc(real: &BusPacket, dummy: &BusPacket) -> u32 {
-    let mut segs: Vec<&[u8]> = Vec::with_capacity(2);
-    if let Some(d) = real.data_ct.as_ref() {
-        segs.push(d);
-    }
-    if let Some(d) = dummy.data_ct.as_ref() {
-        segs.push(d);
-    }
-    crc32(&segs)
-}
-
-/// Link CRC over a reply frame (data lane only).
-fn reply_crc(reply: &BusPacket) -> u32 {
-    match reply.data_ct.as_ref() {
-        Some(d) => crc32(&[d]),
-        None => crc32(&[]),
-    }
 }
 
 #[cfg(test)]
@@ -1384,11 +1253,12 @@ mod tests {
             data_ct: None,
             tag: None,
         };
-        let clean = frame_crc(&pkt, &dummy);
+        let clean = data_crc(&[pkt.clone(), dummy.clone()]);
         for byte in 0..64 {
             for bit in 0..8 {
                 pkt.data_ct.as_mut().unwrap()[byte] ^= 1 << bit;
-                assert_ne!(frame_crc(&pkt, &dummy), clean, "flip at {byte}.{bit}");
+                let flipped = data_crc(&[pkt.clone(), dummy.clone()]);
+                assert_ne!(flipped, clean, "flip at {byte}.{bit}");
                 pkt.data_ct.as_mut().unwrap()[byte] ^= 1 << bit;
             }
         }
