@@ -272,8 +272,7 @@ impl ObfusMemBackend {
             }
             self.proc
                 .counter(ch)
-                .map(|c| c == self.mem_engines[ch].counter())
-                .unwrap_or(false)
+                .is_ok_and(|c| self.mem_engines[ch].counter(0) == Ok(c))
         })
     }
 
@@ -711,17 +710,12 @@ impl ObfusMemBackend {
     ) -> (BusPacket, Duration, Duration) {
         let (at_rest, dev_delay) = self.load_block(addr);
         let base_counter = out.decoded.base_counter;
-        let reply = self.mem_engines[channel].encrypt_reply(base_counter, &at_rest);
+        let reply = self.mem_engines[channel]
+            .encrypt_reply(0, base_counter, &at_rest)
+            .expect("lane 0");
         let (bus_data, link_delay) = match self.link.as_mut() {
             Some(link) => link
-                .deliver_reply(
-                    at,
-                    channel,
-                    &self.proc,
-                    &self.mem_engines[channel],
-                    base_counter,
-                    &at_rest,
-                )
+                .deliver_reply(at, channel, &self.proc, base_counter, &reply)
                 .expect("valid channel"),
             None => {
                 let data_ct = reply.data_ct.expect("reply has data");

@@ -666,7 +666,7 @@ impl FaultyLink {
                     // A forged/corrupt tag is rejected inside (and
                     // counted as a tamper); the loop then converges via
                     // another NACK round.
-                    let _ = mem.apply_resync(rseq, target, &tag);
+                    let _ = mem.apply_resync(0, rseq, target, &tag);
                 }
                 // NACKs of other frames and timers of superseded
                 // attempts are ignored.
@@ -694,7 +694,7 @@ impl FaultyLink {
                         return Err(ObfusMemError::ChannelQuarantined { channel });
                     }
                     proc.rekey_channel(channel, epoch)?;
-                    mem.rekey(epoch);
+                    mem.rekey(0, epoch)?;
                     pair = obfuscate_for(proc, now, channel, delivery)?;
                     frame = Frame::new([pair.real.clone(), pair.dummy.clone()]);
                     let resume = t + self.cfg.rekey_latency;
@@ -757,7 +757,7 @@ impl FaultyLink {
         self.stats[channel].unrecovered.incr();
         let target = pair.base_counter;
         let tag = proc.resync_tag(channel, seq, target)?;
-        mem.apply_resync(seq, target, &tag)
+        mem.apply_resync(0, seq, target, &tag)
             .expect("self-generated resync tag always verifies");
         let out = receive_for(mem, delivery, &pair.real, &pair.dummy)
             .expect("pristine frame decodes after a link reset");
@@ -767,11 +767,12 @@ impl FaultyLink {
 
     /// Carries a read reply back over the faulty bus.
     ///
-    /// The memory side's [`encrypt_reply`](MemoryEngine::encrypt_reply)
-    /// is stateless (pads are regenerated at `base_counter + 2`), so a
-    /// lost or corrupted reply is simply resent; no counter state is at
-    /// risk in this direction. Returns the decrypted data plus the extra
-    /// recovery latency.
+    /// `reply` is the packet the memory side's
+    /// [`encrypt_reply`](MemoryEngine::encrypt_reply) built. Reply
+    /// encryption is stateless (pads are regenerated at
+    /// `base_counter + 2`), so a lost or corrupted reply is simply resent;
+    /// no counter state is at risk in this direction. Returns the
+    /// decrypted data plus the extra recovery latency.
     ///
     /// Corruption is caught by the reply MAC when authentication is on,
     /// and by the link CRC otherwise; in both cases the processor polls
@@ -781,11 +782,10 @@ impl FaultyLink {
         now: Time,
         channel: usize,
         proc: &ProcessorEngine,
-        mem: &MemoryEngine,
         base_counter: u64,
-        stored: &BlockData,
+        reply: &BusPacket,
     ) -> Result<(BlockData, Duration), ObfusMemError> {
-        let reply = Frame::new([mem.encrypt_reply(base_counter, stored)]);
+        let reply = Frame::new([reply.clone()]);
         let clean_done = now + self.cfg.frame_latency;
         let mut attempt: u32 = 0;
         let mut accepted: Option<(Time, BusPacket)> = None;
@@ -884,7 +884,8 @@ pub(crate) fn obfuscate_for(
     }
 }
 
-/// Decodes an arrived frame on the memory engine, per delivery mode.
+/// Decodes an arrived frame on lane 0 of the memory engine, the one
+/// session the backend wires per channel, per delivery mode.
 pub(crate) fn receive_for(
     mem: &mut MemoryEngine,
     delivery: Delivery<'_>,
@@ -892,8 +893,8 @@ pub(crate) fn receive_for(
     dummy: &BusPacket,
 ) -> Result<(DecodedRequest, Option<DecodedRequest>), ObfusMemError> {
     match delivery {
-        Delivery::Uniform { .. } => mem.receive_uniform(real).map(|d| (d, None)),
-        _ => mem.receive_pair(real, dummy),
+        Delivery::Uniform { .. } => mem.receive_uniform(0, real).map(|d| (d, None)),
+        _ => mem.receive_pair(0, real, dummy),
     }
 }
 
@@ -983,8 +984,8 @@ mod tests {
             assert_eq!(out.decoded.header, header, "decoded request must match");
             assert_eq!(out.decoded.data, Some(data), "payload must survive");
             assert_eq!(
-                proc.counter(0).unwrap(),
-                mem.counter(),
+                proc.counter(0),
+                mem.counter(0),
                 "counters must re-converge after every delivery"
             );
             let (next, expected) = link.seq_state(0);
@@ -1151,8 +1152,9 @@ mod tests {
             let mut now = Time::ZERO;
             for i in 0..100u64 {
                 let base = 6 * i; // any counter works: replies are stateless
+                let reply = mem.encrypt_reply(0, base, &stored).unwrap();
                 let (data, delay) = link
-                    .deliver_reply(now, 0, &proc, &mem, base, &stored)
+                    .deliver_reply(now, 0, &proc, base, &reply)
                     .expect("reply delivery is infallible up to forced clean");
                 assert_eq!(data, stored, "{}: reply data must survive", kind.name());
                 now = now + Duration::from_ns(1_000) + delay;
@@ -1185,7 +1187,7 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(out.decoded.data, Some(data));
-            assert_eq!(proc.counter(0).unwrap(), mem.counter());
+            assert_eq!(proc.counter(0), mem.counter(0));
             now = now + Duration::from_ns(1_000) + out.delay;
         }
         assert_eq!(link.stats().unrecovered.get(), 0);

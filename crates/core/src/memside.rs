@@ -34,11 +34,11 @@ pub struct DecodedRequest {
 /// The memory-side engine for one channel.
 ///
 /// Session state is an indexed *table* of lanes, not a singleton: the
-/// classic System wires one lane per engine (lane 0, which every legacy
-/// method addresses implicitly), while the multi-tenant session fabric
-/// parks many tenants' sessions on one engine and addresses them with
-/// the `*_on(lane, ..)` variants. Lane 0 through the legacy methods is
-/// bit-identical to the pre-table engine.
+/// backend wires one lane per engine and addresses it as lane 0, while
+/// the multi-tenant session fabric parks many tenants' sessions on one
+/// engine. Every operation names its lane, as every
+/// [`ProcessorEngine`](crate::engine::ProcessorEngine) call names its
+/// channel, and an out-of-range lane is a typed error.
 #[derive(Debug)]
 pub struct MemoryEngine {
     cfg: ObfusMemConfig,
@@ -49,7 +49,7 @@ pub struct MemoryEngine {
 
 impl MemoryEngine {
     /// Builds a single-lane engine with this channel's established
-    /// session (the classic one-session-per-channel shape).
+    /// session (lane 0).
     pub fn new(cfg: ObfusMemConfig, session: ChannelSession) -> Self {
         MemoryEngine::with_sessions(cfg, vec![session])
     }
@@ -59,8 +59,7 @@ impl MemoryEngine {
     ///
     /// # Panics
     ///
-    /// Panics when `sessions` is empty: every engine needs a lane 0 for
-    /// the legacy single-session API to address.
+    /// Panics when `sessions` is empty: every engine needs a lane 0.
     pub fn with_sessions(cfg: ObfusMemConfig, sessions: Vec<ChannelSession>) -> Self {
         assert!(!sessions.is_empty(), "memory engine needs at least lane 0");
         MemoryEngine {
@@ -103,20 +102,15 @@ impl MemoryEngine {
         self.tampers_detected
     }
 
-    /// Current lane-0 counter (for desync diagnostics).
-    pub fn counter(&self) -> u64 {
-        self.sessions[0].stream().counter()
-    }
-
-    /// Current counter of `lane`.
-    pub fn counter_on(&self, lane: usize) -> Result<u64, ObfusMemError> {
+    /// Current counter of `lane` (for desync diagnostics).
+    pub fn counter(&self, lane: usize) -> Result<u64, ObfusMemError> {
         self.check_lane(lane)?;
         Ok(self.sessions[lane].stream().counter())
     }
 
-    /// Applies an authenticated counter-resynchronization request: after
-    /// a MAC or parse failure left this end's counter ahead of the
-    /// processor's (every failure path parks it at `base + 2`), the
+    /// Applies an authenticated counter-resynchronization request to
+    /// `lane`: after a MAC or parse failure left this end's counter ahead
+    /// of the processor's (every failure path parks it at `base + 2`), the
     /// processor sends the target counter under a MAC so the stream can
     /// be rewound without tearing the session down. The tag binds the
     /// link sequence number, so a captured resync cannot be replayed
@@ -126,17 +120,8 @@ impl MemoryEngine {
     ///
     /// Returns [`ObfusMemError::TamperDetected`] when the tag does not
     /// verify; the stream is left untouched in that case.
+    /// [`ObfusMemError::NoSuchChannel`] for a lane out of range.
     pub fn apply_resync(
-        &mut self,
-        seq: u64,
-        target: u64,
-        tag: &[u8; 8],
-    ) -> Result<(), ObfusMemError> {
-        self.apply_resync_on(0, seq, target, tag)
-    }
-
-    /// [`apply_resync`](MemoryEngine::apply_resync) addressed to `lane`.
-    pub fn apply_resync_on(
         &mut self,
         lane: usize,
         seq: u64,
@@ -157,21 +142,17 @@ impl MemoryEngine {
         Ok(())
     }
 
-    /// Re-keys lane 0's session (link-layer escalation); must be called
-    /// with the same `epoch` the processor used so both ends derive the
-    /// same key.
-    pub fn rekey(&mut self, epoch: u64) {
-        self.sessions[0].rekey(epoch);
-    }
-
-    /// Re-keys `lane`'s session.
-    pub fn rekey_on(&mut self, lane: usize, epoch: u64) -> Result<(), ObfusMemError> {
+    /// Re-keys `lane`'s session (link-layer escalation or tenant churn);
+    /// must be called with the same `epoch` the processor used so both
+    /// ends derive the same key.
+    pub fn rekey(&mut self, lane: usize, epoch: u64) -> Result<(), ObfusMemError> {
         self.check_lane(lane)?;
         self.sessions[lane].rekey(epoch);
         Ok(())
     }
 
-    /// Processes a primary/companion packet pair arriving from the bus.
+    /// Processes a primary/companion packet pair arriving from the bus
+    /// on `lane`.
     ///
     /// Returns the decoded *primary* request plus the companion's
     /// disposition: `None` when the companion was a fixed-address dummy
@@ -186,16 +167,8 @@ impl MemoryEngine {
     /// * [`ObfusMemError::TamperDetected`] when a MAC fails — modified,
     ///   replayed, injected, or reordered traffic, or counter desync from
     ///   a dropped message.
+    /// * [`ObfusMemError::NoSuchChannel`] for a lane out of range.
     pub fn receive_pair(
-        &mut self,
-        real: &BusPacket,
-        dummy: &BusPacket,
-    ) -> Result<(DecodedRequest, Option<DecodedRequest>), ObfusMemError> {
-        self.receive_pair_on(0, real, dummy)
-    }
-
-    /// [`receive_pair`](MemoryEngine::receive_pair) addressed to `lane`.
-    pub fn receive_pair_on(
         &mut self,
         lane: usize,
         real: &BusPacket,
@@ -281,14 +254,9 @@ impl MemoryEngine {
     /// # Errors
     ///
     /// * [`ObfusMemError::TamperDetected`] / [`ObfusMemError::MalformedPacket`]
-    ///   as for [`MemoryEngine::receive_pair`].
-    pub fn receive_uniform(&mut self, packet: &BusPacket) -> Result<DecodedRequest, ObfusMemError> {
-        self.receive_uniform_on(0, packet)
-    }
-
-    /// [`receive_uniform`](MemoryEngine::receive_uniform) addressed to
-    /// `lane`.
-    pub fn receive_uniform_on(
+    ///   / [`ObfusMemError::NoSuchChannel`] as for
+    ///   [`MemoryEngine::receive_pair`].
+    pub fn receive_uniform(
         &mut self,
         lane: usize,
         packet: &BusPacket,
@@ -417,24 +385,15 @@ impl MemoryEngine {
         Ok(())
     }
 
-    /// Builds the encrypted read-reply packet for a decoded request, using
-    /// the pair's reserved data pads.
-    pub fn encrypt_reply(&self, base_counter: u64, data: &BlockData) -> BusPacket {
-        self.encrypt_reply_lane(0, base_counter, data)
-    }
-
-    /// [`encrypt_reply`](MemoryEngine::encrypt_reply) addressed to `lane`.
-    pub fn encrypt_reply_on(
+    /// Builds the encrypted read-reply packet for a request decoded on
+    /// `lane`, using the pair's reserved data pads.
+    pub fn encrypt_reply(
         &self,
         lane: usize,
         base_counter: u64,
         data: &BlockData,
     ) -> Result<BusPacket, ObfusMemError> {
         self.check_lane(lane)?;
-        Ok(self.encrypt_reply_lane(lane, base_counter, data))
-    }
-
-    fn encrypt_reply_lane(&self, lane: usize, base_counter: u64, data: &BlockData) -> BusPacket {
         let mut ct = *data;
         let mut pads = [[0u8; 16]; 4];
         self.sessions[lane]
@@ -450,11 +409,11 @@ impl MemoryEngine {
             .security
             .authenticates()
             .then(|| self.sessions[lane].mac().reply_tag(base_counter, &ct));
-        BusPacket {
+        Ok(BusPacket {
             header_ct: [0u8; 16],
             data_ct: Some(ct),
             tag,
-        }
+        })
     }
 }
 
@@ -505,7 +464,7 @@ mod tests {
         let (mut proc, mut mem) = pair();
         let sent = read_header(0x1_2340);
         let pkts = proc.obfuscate(Time::ZERO, 0, sent, None).unwrap();
-        let (decoded, dummy) = mem.receive_pair(&pkts.real, &pkts.dummy).unwrap();
+        let (decoded, dummy) = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap();
         assert_eq!(decoded.header, sent);
         assert!(decoded.dropped_dummy);
         assert!(dummy.is_none(), "fixed-address dummy must be dropped");
@@ -517,11 +476,11 @@ mod tests {
         let (mut proc, mut mem) = pair();
         proc.inject(Time::ZERO, 0).unwrap();
         mem.drop_injected();
-        assert_eq!(mem.counter(), proc.counter(0).unwrap());
+        assert_eq!(mem.counter(0), proc.counter(0));
         assert_eq!(mem.dummies_dropped(), 1);
         let sent = read_header(0x1_2340);
         let pkts = proc.obfuscate(Time::ZERO, 0, sent, None).unwrap();
-        let (decoded, _) = mem.receive_pair(&pkts.real, &pkts.dummy).unwrap();
+        let (decoded, _) = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap();
         assert_eq!(decoded.header, sent);
     }
 
@@ -539,7 +498,7 @@ mod tests {
             payload,
             "data must be re-encrypted on the bus"
         );
-        let (decoded, _) = mem.receive_pair(&pkts.real, &pkts.dummy).unwrap();
+        let (decoded, _) = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap();
         assert_eq!(decoded.data, Some(payload));
     }
 
@@ -549,9 +508,9 @@ mod tests {
         let pkts = proc
             .obfuscate(Time::ZERO, 0, read_header(0x40), None)
             .unwrap();
-        let (decoded, _) = mem.receive_pair(&pkts.real, &pkts.dummy).unwrap();
+        let (decoded, _) = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap();
         let stored = [0x11; 64];
-        let reply = mem.encrypt_reply(decoded.base_counter, &stored);
+        let reply = mem.encrypt_reply(0, decoded.base_counter, &stored).unwrap();
         assert_ne!(reply.data_ct.unwrap(), stored);
         let got = proc
             .decrypt_reply(0, pkts.base_counter, &reply.data_ct.unwrap())
@@ -573,7 +532,7 @@ mod tests {
             };
             let data = (hdr.kind == AccessKind::Write).then_some([i as u8; 64]);
             let pkts = proc.obfuscate(Time::ZERO, 0, hdr, data.as_ref()).unwrap();
-            let (decoded, _) = mem.receive_pair(&pkts.real, &pkts.dummy).unwrap();
+            let (decoded, _) = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap();
             assert_eq!(decoded.header, hdr, "desync at request {i}");
             assert_eq!(decoded.data, data);
         }
@@ -586,7 +545,7 @@ mod tests {
             .obfuscate(Time::ZERO, 0, read_header(0x40), None)
             .unwrap();
         pkts.real.header_ct[3] ^= 0x10; // flip an address bit in flight
-        let err = mem.receive_pair(&pkts.real, &pkts.dummy).unwrap_err();
+        let err = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap_err();
         assert!(
             matches!(err, ObfusMemError::TamperDetected { .. }),
             "got {err}"
@@ -601,7 +560,7 @@ mod tests {
             .obfuscate(Time::ZERO, 0, read_header(0x40), None)
             .unwrap();
         pkts.real.header_ct[0] ^= 0x01; // flip the request-type bit
-        assert!(mem.receive_pair(&pkts.real, &pkts.dummy).is_err());
+        assert!(mem.receive_pair(0, &pkts.real, &pkts.dummy).is_err());
     }
 
     /// Both tags of a pair are checked in one pass, but the real
@@ -615,7 +574,7 @@ mod tests {
         for tag in [&mut pkts.real.tag, &mut pkts.dummy.tag] {
             tag.as_mut().unwrap()[0] ^= 1;
         }
-        let err = mem.receive_pair(&pkts.real, &pkts.dummy).unwrap_err();
+        let err = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap_err();
         let base = pkts.base_counter;
         assert!(
             matches!(&err, ObfusMemError::TamperDetected { detail }
@@ -632,7 +591,7 @@ mod tests {
             .obfuscate(Time::ZERO, 0, read_header(0x40), None)
             .unwrap();
         pkts.dummy.tag.as_mut().unwrap()[7] ^= 0x80;
-        let err = mem.receive_pair(&pkts.real, &pkts.dummy).unwrap_err();
+        let err = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap_err();
         let dummy_counter = pkts.base_counter + 1;
         assert!(
             matches!(&err, ObfusMemError::TamperDetected { detail }
@@ -649,7 +608,7 @@ mod tests {
             .obfuscate(Time::ZERO, 0, read_header(0x40), None)
             .unwrap();
         pkts.dummy.tag = None;
-        let err = mem.receive_pair(&pkts.real, &pkts.dummy).unwrap_err();
+        let err = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap_err();
         assert!(
             matches!(err, ObfusMemError::MalformedPacket(_)),
             "got {err}"
@@ -669,7 +628,7 @@ mod tests {
         // Attacker drops `first`; memory sees `second` with a stale
         // counter and the MAC (bound to the counter) fails.
         let _ = first;
-        assert!(mem.receive_pair(&second.real, &second.dummy).is_err());
+        assert!(mem.receive_pair(0, &second.real, &second.dummy).is_err());
     }
 
     #[test]
@@ -678,9 +637,9 @@ mod tests {
         let pkts = proc
             .obfuscate(Time::ZERO, 0, read_header(0x40), None)
             .unwrap();
-        mem.receive_pair(&pkts.real, &pkts.dummy).unwrap();
+        mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap();
         // Replay the same packets: memory's counter moved on.
-        assert!(mem.receive_pair(&pkts.real, &pkts.dummy).is_err());
+        assert!(mem.receive_pair(0, &pkts.real, &pkts.dummy).is_err());
     }
 
     #[test]
@@ -691,7 +650,7 @@ mod tests {
             data_ct: None,
             tag: Some([0; 8]),
         };
-        assert!(mem.receive_pair(&forged, &forged.clone()).is_err());
+        assert!(mem.receive_pair(0, &forged, &forged.clone()).is_err());
     }
 
     #[test]
@@ -701,7 +660,7 @@ mod tests {
             .obfuscate(Time::ZERO, 0, read_header(0x40), None)
             .unwrap();
         pkts.real.tag = None;
-        let err = mem.receive_pair(&pkts.real, &pkts.dummy).unwrap_err();
+        let err = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap_err();
         assert!(matches!(err, ObfusMemError::MalformedPacket(_)));
     }
 
@@ -719,7 +678,7 @@ mod tests {
             .obfuscate(Time::ZERO, 0, read_header(0x40), None)
             .unwrap();
         pkts.real.header_ct[5] ^= 0xFF;
-        let (decoded, _) = mem.receive_pair(&pkts.real, &pkts.dummy).unwrap();
+        let (decoded, _) = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap();
         assert_ne!(
             decoded.header.addr, 0x40,
             "tampering silently garbles the address"
@@ -737,7 +696,7 @@ mod tests {
         let pkts = proc
             .obfuscate(Time::ZERO, 0, read_header(0x1000), None)
             .unwrap();
-        let (decoded, dummy) = mem.receive_pair(&pkts.real, &pkts.dummy).unwrap();
+        let (decoded, dummy) = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap();
         assert!(!decoded.dropped_dummy);
         let dummy = dummy.expect("original-address dummy reaches the array");
         assert_eq!(dummy.header.addr, 0x1000);
@@ -757,7 +716,7 @@ mod tests {
                 addr: (i as u64) * 64,
             };
             let pkts = proc.obfuscate(Time::ZERO, ch, hdr, None).unwrap();
-            let (decoded, _) = mems[ch].receive_pair(&pkts.real, &pkts.dummy).unwrap();
+            let (decoded, _) = mems[ch].receive_pair(0, &pkts.real, &pkts.dummy).unwrap();
             assert_eq!(decoded.header, hdr, "channel {ch} desynced at step {i}");
         }
     }
@@ -780,56 +739,24 @@ mod tests {
             let l = (i % 2) as usize;
             let hdr = read_header(i * 64);
             let pkts = proc.obfuscate(Time::ZERO, l, hdr, None).unwrap();
-            let (decoded, _) = mem.receive_pair_on(l, &pkts.real, &pkts.dummy).unwrap();
+            let (decoded, _) = mem.receive_pair(l, &pkts.real, &pkts.dummy).unwrap();
             assert_eq!(decoded.header, hdr, "lane {l} desynced at step {i}");
         }
         // Lane-0 traffic replayed onto lane 1 must fail authentication.
         let pkts = proc
             .obfuscate(Time::ZERO, 0, read_header(0x40), None)
             .unwrap();
-        assert!(mem.receive_pair_on(1, &pkts.real, &pkts.dummy).is_err());
+        assert!(mem.receive_pair(1, &pkts.real, &pkts.dummy).is_err());
         // Out-of-range lanes get a typed error, not a panic.
         assert!(matches!(
-            mem.receive_pair_on(9, &pkts.real, &pkts.dummy),
+            mem.receive_pair(9, &pkts.real, &pkts.dummy),
             Err(ObfusMemError::NoSuchChannel {
                 channel: 9,
                 channels: 2
             })
         ));
-        assert!(mem.counter_on(9).is_err());
-        assert!(mem.rekey_on(9, 1).is_err());
-    }
-
-    #[test]
-    fn legacy_methods_are_lane_zero() {
-        let cfg = ObfusMemConfig::paper_default();
-        let mk = || {
-            let proc = crate::engine::ProcessorEngine::new(
-                cfg,
-                crate::session::SessionKeyTable::new(vec![([4; 16], 17)]),
-                3,
-            );
-            let mem = MemoryEngine::new(cfg, ChannelSession::new([4; 16], 17));
-            (proc, mem)
-        };
-        let (mut p_legacy, mut m_legacy) = mk();
-        let (mut p_lane, mut m_lane) = mk();
-        for i in 0..20u64 {
-            let hdr = read_header(i * 64);
-            let a = p_legacy.obfuscate(Time::ZERO, 0, hdr, None).unwrap();
-            let b = p_lane.obfuscate(Time::ZERO, 0, hdr, None).unwrap();
-            assert_eq!(a.real, b.real);
-            let (da, _) = m_legacy.receive_pair(&a.real, &a.dummy).unwrap();
-            let (db, _) = m_lane.receive_pair_on(0, &b.real, &b.dummy).unwrap();
-            assert_eq!(da, db);
-            let stored = [i as u8; 64];
-            let ra = m_legacy.encrypt_reply(da.base_counter, &stored);
-            let rb = m_lane
-                .encrypt_reply_on(0, db.base_counter, &stored)
-                .unwrap();
-            assert_eq!(ra, rb);
-        }
-        assert_eq!(m_legacy.counter(), m_lane.counter_on(0).unwrap());
+        assert!(mem.counter(9).is_err());
+        assert!(mem.rekey(9, 1).is_err());
     }
 
     #[test]
@@ -843,9 +770,11 @@ mod tests {
         let b = proc
             .obfuscate(Time::ZERO, 0, read_header(0x80), None)
             .unwrap();
-        let (decoded_a, _) = mem.receive_pair(&a.real, &a.dummy).unwrap();
+        let (decoded_a, _) = mem.receive_pair(0, &a.real, &a.dummy).unwrap();
         let stored = [0x5A; 64];
-        let reply = mem.encrypt_reply(decoded_a.base_counter, &stored);
+        let reply = mem
+            .encrypt_reply(0, decoded_a.base_counter, &stored)
+            .unwrap();
         // Decrypt with b's pads instead of a's.
         let wrong = proc
             .decrypt_reply(0, b.base_counter, &reply.data_ct.unwrap())
@@ -873,7 +802,7 @@ mod tests {
                 };
                 let data = is_write.then_some([byte; 64]);
                 let pkts = proc.obfuscate(Time::ZERO, 0, hdr, data.as_ref()).unwrap();
-                let (decoded, companion) = mem.receive_pair(&pkts.real, &pkts.dummy).unwrap();
+                let (decoded, companion) = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap();
                 proptest::prop_assert_eq!(decoded.header, hdr);
                 proptest::prop_assert_eq!(decoded.data, data);
                 proptest::prop_assert!(companion.is_none(), "fixed dummies always drop");
@@ -895,7 +824,7 @@ mod tests {
                 let data = is_write.then_some([byte; 64]);
                 let pkt = proc.obfuscate_uniform(Time::ZERO, 0, hdr, data.as_ref()).unwrap();
                 proptest::prop_assert!(pkt.real.data_ct.is_some(), "uniform packets always carry data");
-                let decoded = mem.receive_uniform(&pkt.real).unwrap();
+                let decoded = mem.receive_uniform(0, &pkt.real).unwrap();
                 proptest::prop_assert_eq!(decoded.header, hdr);
                 proptest::prop_assert_eq!(decoded.data, data);
             }
@@ -913,12 +842,12 @@ mod tests {
         let good = proc
             .obfuscate(Time::ZERO, 0, read_header(0x40), None)
             .unwrap();
-        let (decoded, _) = mem.receive_pair(&good.real, &good.dummy).unwrap();
+        let (decoded, _) = mem.receive_pair(0, &good.real, &good.dummy).unwrap();
         assert_eq!(decoded.header.addr, 0x40);
         let mut bad = proc
             .obfuscate(Time::ZERO, 0, read_header(0x80), None)
             .unwrap();
         bad.real.header_ct[1] ^= 1;
-        assert!(mem.receive_pair(&bad.real, &bad.dummy).is_err());
+        assert!(mem.receive_pair(0, &bad.real, &bad.dummy).is_err());
     }
 }

@@ -15,11 +15,11 @@
 //! 2. **Legacy equivalence.** The fabric with one tenant on one channel
 //!    is *bit-identical* to the pre-fabric single-session serving path —
 //!    same keys, same counters, same scheduler decisions, same latencies.
-//!    [`legacy_single_session_trace`] hand-rolls that legacy path from
-//!    the classic one-lane APIs (`ProcessorEngine` with a one-entry
-//!    session table, `MemoryEngine::new`, an unsharded `FrFcfsScheduler`
-//!    with plain class-0 enqueues) and the equivalence test compares the
-//!    two traces sample by sample. This pins the serving mode as a strict
+//!    [`legacy_single_session_trace`] hand-rolls that legacy path on one
+//!    session addressed explicitly as lane 0 (`ProcessorEngine` with a
+//!    one-entry session table, a single-lane `MemoryEngine::new`, an
+//!    unsharded `FrFcfsScheduler` with plain class-0 enqueues) and the
+//!    equivalence test compares the two traces sample by sample. This pins the serving mode as a strict
 //!    generalization of the paper's protocol: CI runs it as a gate.
 
 use obfusmem_core::busmsg::RequestHeader;
@@ -64,8 +64,8 @@ pub fn victim_trace(
 }
 
 /// Replays the pre-fabric single-session serving path — the exact loop
-/// the fabric runs for one tenant on one channel, built from the legacy
-/// one-lane APIs — and returns its per-request latency trace (ps).
+/// the fabric runs for one tenant on one channel, on a single session
+/// addressed as lane 0 — and returns its per-request latency trace (ps).
 ///
 /// `cfg` must describe a 1-tenant, 1-channel, churn-free fabric; the
 /// function panics otherwise, because the comparison would be vacuous.
@@ -108,7 +108,7 @@ pub fn legacy_single_session_trace(cfg: &FabricConfig) -> Result<Vec<u64>, Fabri
             addr: ev.fill.as_u64(),
         };
         let pair = proc.obfuscate(now, 0, header, None)?;
-        let (decoded, _) = mem.receive_pair(&pair.real, &pair.dummy)?;
+        let (decoded, _) = mem.receive_pair(0, &pair.real, &pair.dummy)?;
         let id = sched.enqueue(now, ev.fill.as_u64(), AccessKind::Read);
         sched.run_until_completed(id);
         let mut done = now;
@@ -118,7 +118,7 @@ pub fn legacy_single_session_trace(cfg: &FabricConfig) -> Result<Vec<u64>, Fabri
             }
         }
         let stored = synthetic_block(&mut data_rng);
-        let reply = mem.encrypt_reply(decoded.base_counter, &stored);
+        let reply = mem.encrypt_reply(0, decoded.base_counter, &stored)?;
         proc.verify_reply(0, pair.base_counter, &reply)?;
         let Some(ct) = reply.data_ct else {
             return Err(FabricError::Config(
@@ -143,7 +143,7 @@ pub fn legacy_single_session_trace(cfg: &FabricConfig) -> Result<Vec<u64>, Fabri
                 addr: wb.as_u64(),
             };
             let wb_pair = proc.obfuscate(reply_ready, 0, wb_header, Some(&block))?;
-            mem.receive_pair(&wb_pair.real, &wb_pair.dummy)?;
+            mem.receive_pair(0, &wb_pair.real, &wb_pair.dummy)?;
             sched.enqueue(reply_ready, wb.as_u64(), AccessKind::Write);
         }
 

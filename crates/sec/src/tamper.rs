@@ -107,7 +107,7 @@ pub fn run_campaign(cfg: ObfusMemConfig, kind: TamperKind, attempts: u64) -> Cam
         // Honest warm-up traffic.
         for i in 0..3 {
             let (real, dummy) = make_request(&mut proc, &mut rng, i);
-            mem.receive_pair(&real, &dummy)
+            mem.receive_pair(0, &real, &dummy)
                 .expect("honest traffic passes");
         }
 
@@ -125,7 +125,7 @@ pub fn run_campaign(cfg: ObfusMemConfig, kind: TamperKind, attempts: u64) -> Cam
                     8 + rng.below(64) as usize
                 };
                 real.header_ct[bit / 8] ^= 1 << (bit % 8);
-                mem.receive_pair(&real, &dummy).is_err()
+                mem.receive_pair(0, &real, &dummy).is_err()
             }
             TamperKind::FlipDataBit => {
                 // Force a write so there is data to corrupt.
@@ -141,7 +141,7 @@ pub fn run_campaign(cfg: ObfusMemConfig, kind: TamperKind, attempts: u64) -> Cam
                 if let Some(data) = &mut real.data_ct {
                     data[bit / 8] ^= 1 << (bit % 8);
                 }
-                match mem.receive_pair(&real, &pair.dummy) {
+                match mem.receive_pair(0, &real, &pair.dummy) {
                     Err(_) => true,
                     Ok((decoded, _)) => {
                         // Encrypt-and-MAC does not cover data directly
@@ -157,13 +157,13 @@ pub fn run_campaign(cfg: ObfusMemConfig, kind: TamperKind, attempts: u64) -> Cam
             TamperKind::DropMessage => {
                 let _dropped = make_request(&mut proc, &mut rng, 200 + trial);
                 let (real, dummy) = make_request(&mut proc, &mut rng, 300 + trial);
-                mem.receive_pair(&real, &dummy).is_err()
+                mem.receive_pair(0, &real, &dummy).is_err()
             }
             TamperKind::Replay => {
                 let (real, dummy) = make_request(&mut proc, &mut rng, 400 + trial);
-                mem.receive_pair(&real, &dummy)
+                mem.receive_pair(0, &real, &dummy)
                     .expect("first delivery is honest");
-                mem.receive_pair(&real, &dummy).is_err()
+                mem.receive_pair(0, &real, &dummy).is_err()
             }
             TamperKind::Inject => {
                 let mut forged = BusPacket {
@@ -174,14 +174,14 @@ pub fn run_campaign(cfg: ObfusMemConfig, kind: TamperKind, attempts: u64) -> Cam
                 for b in forged.header_ct.iter_mut() {
                     *b = rng.next_u64() as u8;
                 }
-                mem.receive_pair(&forged, &forged.clone()).is_err()
+                mem.receive_pair(0, &forged, &forged.clone()).is_err()
             }
             TamperKind::Reorder => {
                 let first = make_request(&mut proc, &mut rng, 500 + trial);
                 let second = make_request(&mut proc, &mut rng, 600 + trial);
                 // Deliver out of order.
-                let second_err = mem.receive_pair(&second.0, &second.1).is_err();
-                let first_err = mem.receive_pair(&first.0, &first.1).is_err();
+                let second_err = mem.receive_pair(0, &second.0, &second.1).is_err();
+                let first_err = mem.receive_pair(0, &first.0, &first.1).is_err();
                 second_err || first_err
             }
         };
@@ -271,7 +271,7 @@ pub fn run_recovery_campaign(
         if out.decoded.header != header || out.decoded.data != data {
             corrupted += 1;
         }
-        if proc.counter(0).expect("channel 0") != mem.counter() {
+        if proc.counter(0) != mem.counter(0) {
             corrupted += 1;
         }
         now = now + obfusmem_sim::time::Duration::from_ns(1_000) + out.delay;
@@ -373,7 +373,7 @@ mod tests {
         let mut tampered = pair.real.clone();
         tampered.header_ct[12] ^= 0xFF; // padding byte
         let err = mem
-            .receive_pair(&tampered, &pair.dummy)
+            .receive_pair(0, &tampered, &pair.dummy)
             .expect_err("nonzero padding must be rejected");
         assert!(
             matches!(err, obfusmem_core::ObfusMemError::MalformedPacket(_)),

@@ -746,7 +746,7 @@ impl SessionFabric {
         };
         let pair = self.proc.obfuscate(now, t, header, None)?;
         let reply_ready =
-            match self.mems[channel].receive_pair_on(state.mem_lane, &pair.real, &pair.dummy) {
+            match self.mems[channel].receive_pair(state.mem_lane, &pair.real, &pair.dummy) {
                 Ok((decoded, _companion)) => {
                     debug_assert_eq!(decoded.header.addr, fill_addr);
                     debug_assert_eq!(decoded.base_counter, pair.base_counter);
@@ -767,7 +767,7 @@ impl SessionFabric {
                     // stored block under the pair's reserved pads; the
                     // processor authenticates and decrypts it.
                     let stored = synthetic_block(&mut state.data_rng);
-                    let reply = self.mems[channel].encrypt_reply_on(
+                    let reply = self.mems[channel].encrypt_reply(
                         state.mem_lane,
                         decoded.base_counter,
                         &stored,
@@ -815,8 +815,7 @@ impl SessionFabric {
                 addr: wb_addr,
             };
             let wb_pair = self.proc.obfuscate(state.now, t, wb_header, Some(&block))?;
-            match self.mems[channel].receive_pair_on(state.mem_lane, &wb_pair.real, &wb_pair.dummy)
-            {
+            match self.mems[channel].receive_pair(state.mem_lane, &wb_pair.real, &wb_pair.dummy) {
                 Ok(_) => {
                     self.sched
                         .enqueue_classed(state.now, wb_addr, AccessKind::Write, arb);
@@ -866,7 +865,7 @@ impl SessionFabric {
         state.epoch += 1;
         let nonce = self.partition.nonce_for(t as u64, state.epoch)?;
         self.proc.rekey_channel(t, nonce)?;
-        self.mems[state.channel].rekey_on(state.mem_lane, nonce)?;
+        self.mems[state.channel].rekey(state.mem_lane, nonce)?;
         state.rekeys += 1;
         self.rekeys += 1;
         Ok(())
@@ -1268,20 +1267,20 @@ mod tests {
                 epochs[t] += 1;
                 let nonce = partition.nonce_for(t as u64, epochs[t]).expect("nonce");
                 proc.rekey_channel(t, nonce).expect("proc rekey");
-                mem.rekey_on(t, nonce).expect("mem rekey");
+                mem.rekey(t, nonce).expect("mem rekey");
             }
             let header = |t: usize| RequestHeader { kind: AccessKind::Read, addr: (t as u64) << 20 };
             // Every lane still round-trips with itself after the churn...
             for t in 0..tenants {
                 let pair = proc.obfuscate(Time::ZERO, t, header(t), None).expect("obfuscate");
-                let decoded = mem.receive_pair_on(t, &pair.real, &pair.dummy);
+                let decoded = mem.receive_pair(t, &pair.real, &pair.dummy);
                 proptest::prop_assert!(decoded.is_ok(), "lane {} lost sync with itself", t);
             }
             // ...and no lane accepts a neighbour's traffic.
             for t in 0..tenants {
                 let other = (t + 1) % tenants;
                 let pair = proc.obfuscate(Time::ZERO, t, header(t), None).expect("obfuscate");
-                let cross = mem.receive_pair_on(other, &pair.real, &pair.dummy);
+                let cross = mem.receive_pair(other, &pair.real, &pair.dummy);
                 proptest::prop_assert!(cross.is_err(), "lane {} decoded lane {}'s packets", other, t);
             }
         }
