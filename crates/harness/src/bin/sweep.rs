@@ -26,8 +26,7 @@ use std::process::ExitCode;
 
 use obfusmem_harness::runner::{effective_threads, run_sweep, RunOptions};
 use obfusmem_harness::serve::{run_serve, verify_single, ServeSpec};
-use obfusmem_harness::spec::{flag_key, parse_u64, SweepSpec};
-use obfusmem_tenant::fabric::DhStrength;
+use obfusmem_harness::spec::{flag_key, SweepSpec};
 
 struct Cli {
     spec: SweepSpec,
@@ -52,8 +51,21 @@ fn main() -> ExitCode {
         }
     };
 
+    // Expand before touching any file: a bad grid must leave the
+    // previous results in place.
+    let jobs = match cli.spec.expand() {
+        Ok(jobs) => jobs,
+        Err(e) => {
+            eprintln!("sweep: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     if cli.dry_run {
-        return dry_run(&cli);
+        for job in &jobs {
+            println!("{}\tseed=0x{:016x}", job.id, job.seed);
+        }
+        eprintln!("sweep: {} job(s) (dry run, nothing executed)", jobs.len());
+        return ExitCode::SUCCESS;
     }
 
     if cli.fresh {
@@ -70,7 +82,7 @@ fn main() -> ExitCode {
 
     eprintln!(
         "sweep: {} job(s) over {} thread(s) -> {}",
-        cli.spec.job_count(),
+        jobs.len(),
         effective_threads(cli.opts.threads),
         cli.out.display()
     );
@@ -96,22 +108,6 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::FAILURE;
             }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("sweep: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn dry_run(cli: &Cli) -> ExitCode {
-    match cli.spec.expand() {
-        Ok(jobs) => {
-            for job in &jobs {
-                println!("{}\tseed=0x{:016x}", job.id, job.seed);
-            }
-            eprintln!("sweep: {} job(s) (dry run, nothing executed)", jobs.len());
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -162,6 +158,12 @@ fn serve_main(args: impl Iterator<Item = String>) -> ExitCode {
         };
     }
 
+    // Validate before touching the output: a bad grid must leave the
+    // previous results in place.
+    if let Err(e) = cli.spec.validate() {
+        eprintln!("sweep serve: {e}");
+        return ExitCode::FAILURE;
+    }
     if cli.fresh {
         if let Err(e) = remove_if_exists(&cli.out) {
             eprintln!("sweep serve: cannot remove {}: {e}", cli.out.display());
@@ -260,81 +262,9 @@ fn parse_serve_args(args: impl Iterator<Item = String>) -> Result<ServeCli, Stri
     let next_value = |flag: &str, args: &mut dyn Iterator<Item = String>| {
         args.next().ok_or_else(|| format!("{flag} needs a value"))
     };
-    let parse_list = |flag: &str, v: &str| -> Result<Vec<u64>, String> {
-        v.split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(|s| parse_u64(s).map_err(|_| format!("bad {flag} entry {s:?}")))
-            .collect()
-    };
 
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--tenants" => {
-                let v = next_value("--tenants", &mut args)?;
-                cli.spec.tenants = parse_list("--tenants", &v)?
-                    .into_iter()
-                    .map(|n| n as usize)
-                    .collect();
-            }
-            "--churn" => {
-                let v = next_value("--churn", &mut args)?;
-                cli.spec.churns = parse_list("--churn", &v)?;
-            }
-            "--channels" => {
-                let v = next_value("--channels", &mut args)?;
-                cli.spec.channels = v.parse().map_err(|_| format!("bad channel count {v:?}"))?;
-            }
-            "--requests" => {
-                let v = next_value("--requests", &mut args)?;
-                cli.spec.requests = parse_u64(&v).map_err(|e| e.to_string())?;
-            }
-            "--storm-period" => {
-                let v = next_value("--storm-period", &mut args)?;
-                cli.spec.storm_period = parse_u64(&v).map_err(|e| e.to_string())?;
-            }
-            "--storm-stride" => {
-                let v = next_value("--storm-stride", &mut args)?;
-                cli.spec.storm_stride = v.parse().map_err(|_| format!("bad stride {v:?}"))?;
-            }
-            "--seed" => {
-                let v = next_value("--seed", &mut args)?;
-                cli.spec.seed = parse_u64(&v).map_err(|e| e.to_string())?;
-            }
-            "--dh" => {
-                let v = next_value("--dh", &mut args)?;
-                cli.spec.dh =
-                    DhStrength::parse(&v).ok_or_else(|| format!("bad --dh value {v:?}"))?;
-            }
-            "--workload" => {
-                cli.spec.workload = next_value("--workload", &mut args)?;
-            }
-            "--starvation-limit" => {
-                let v = next_value("--starvation-limit", &mut args)?;
-                cli.spec.starvation_limit = v
-                    .parse()
-                    .map_err(|_| format!("bad starvation limit {v:?}"))?;
-            }
-            "--chunk" => {
-                let v = next_value("--chunk", &mut args)?;
-                cli.spec.chunk = parse_u64(&v).map_err(|e| e.to_string())?;
-            }
-            "--device-fault" => {
-                let v = next_value("--device-fault", &mut args)?;
-                let (kind, rate) = v
-                    .split_once('@')
-                    .ok_or_else(|| format!("expected KIND@RATE, got {v:?}"))?;
-                let kind = obfusmem_mem::fault::DeviceFaultKind::parse(kind)
-                    .ok_or_else(|| format!("unknown device fault kind {kind:?}"))?;
-                let rate: f64 = rate
-                    .parse()
-                    .map_err(|_| format!("bad device fault rate {rate:?}"))?;
-                cli.spec.device_fault = Some((kind, rate));
-            }
-            "--device-fault-seed" => {
-                let v = next_value("--device-fault-seed", &mut args)?;
-                cli.spec.device_fault_seed = parse_u64(&v).map_err(|e| e.to_string())?;
-            }
             "--out" => cli.out = PathBuf::from(next_value("--out", &mut args)?),
             "--fresh" => cli.fresh = true,
             "--verify-single" => cli.verify_single = true,
@@ -343,14 +273,13 @@ fn parse_serve_args(args: impl Iterator<Item = String>) -> Result<ServeCli, Stri
                 println!("{SERVE_USAGE}");
                 std::process::exit(0);
             }
-            other => return Err(format!("unknown argument {other:?}")),
+            // Every other flag names a serve spec key.
+            flag => {
+                let key = flag_key(flag).ok_or_else(|| format!("unknown argument {flag:?}"))?;
+                let value = next_value(flag, &mut args)?;
+                cli.spec.set(&key, &value).map_err(|e| e.to_string())?;
+            }
         }
-    }
-    if cli.spec.tenants.is_empty() {
-        return Err("--tenants needs at least one count".into());
-    }
-    if cli.spec.churns.is_empty() {
-        return Err("--churn needs at least one period".into());
     }
     Ok(cli)
 }
@@ -510,6 +439,52 @@ mod tests {
             .err()
             .expect("missing value must be rejected");
         assert!(err.contains("needs a value"), "got: {err}");
+    }
+
+    /// One value per serve spec key, none of them the default.
+    #[rustfmt::skip]
+    const SERVE_KEYS: [(&str, &str); 13] = [
+        ("tenants", "1,0x3"),
+        ("churn", "0,8"),
+        ("channels", "2"),
+        ("requests", "0x40_0"),
+        ("storm_period", "64"),
+        ("storm_stride", "2"),
+        ("seed", "0x77"),
+        ("dh", "full"),
+        ("workload", "mcf"),
+        ("starvation_limit", "9"),
+        ("chunk", "7"),
+        ("device_fault", "bit-flip@0.01"),
+        ("device_fault_seed", "0x99"),
+    ];
+
+    /// `--key-with-dashes V` on the `sweep serve` command line sets the
+    /// same field as `ServeSpec::set(key, V)`, and moves it off the
+    /// default.
+    #[test]
+    fn every_serve_spec_key_is_a_flag() {
+        let default = format!("{:?}", ServeSpec::default());
+        for (key, value) in SERVE_KEYS {
+            let flag = format!("--{}", key.replace('_', "-"));
+            let cli =
+                parse_serve_args(argv(&[&flag, value])).unwrap_or_else(|e| panic!("{flag}: {e}"));
+            let mut direct = ServeSpec::default();
+            direct
+                .set(key, value)
+                .unwrap_or_else(|e| panic!("{key}: {e}"));
+            let (cli, direct) = (format!("{:?}", cli.spec), format!("{direct:?}"));
+            assert_ne!(cli, default, "{flag} changed nothing");
+            assert_eq!(cli, direct, "{flag}");
+        }
+        let err = parse_serve_args(argv(&["--warp-drive", "1"]))
+            .err()
+            .expect("an unknown key must be rejected");
+        assert!(err.contains("unknown key"), "got: {err}");
+        let err = parse_serve_args(argv(&["--device-fault", "bit-flip"]))
+            .err()
+            .expect("a device fault without a rate must be rejected");
+        assert!(err.contains("KIND@RATE"), "got: {err}");
     }
 
     /// A malformed axis must also fail at expansion time when it sneaks in

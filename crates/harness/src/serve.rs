@@ -23,6 +23,7 @@ use obfusmem_tenant::fabric::{DhStrength, FabricConfig, SessionFabric};
 use obfusmem_tenant::qos::TenantClass;
 
 use crate::jsonl::JsonObject;
+use crate::spec::{parse_as, parse_u64, split_list, SpecError};
 
 /// Why a serve grid was refused or failed. Every CLI misuse lands in
 /// [`ServeError::Config`] *before* any cell runs — a bad flag used to
@@ -52,6 +53,12 @@ impl fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
+
+impl From<SpecError> for ServeError {
+    fn from(e: SpecError) -> Self {
+        ServeError::Config(e.0)
+    }
+}
 
 /// Declarative serve grid.
 #[derive(Debug, Clone)]
@@ -106,6 +113,52 @@ impl Default for ServeSpec {
 }
 
 impl ServeSpec {
+    /// Sets one key from its text value. This is the only place a key
+    /// maps to a field: `sweep serve` turns each grid flag into its key
+    /// with [`flag_key`](crate::spec::flag_key), so `--storm-period 64`
+    /// sets `storm_period`. Lists are comma-separated and integers take
+    /// decimal or `0x` hex, as in sweep specs; `device_fault` is
+    /// `KIND@RATE`.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Config`] for an unknown key or a malformed value.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), ServeError> {
+        let u64s = || {
+            split_list(value)
+                .map(parse_u64)
+                .collect::<Result<Vec<_>, _>>()
+        };
+        match key {
+            "tenants" => self.tenants = u64s()?.into_iter().map(|n| n as usize).collect(),
+            "churn" => self.churns = u64s()?,
+            "channels" => self.channels = parse_as(value, "channel count")?,
+            "requests" => self.requests = parse_u64(value)?,
+            "storm_period" => self.storm_period = parse_u64(value)?,
+            "storm_stride" => self.storm_stride = parse_as(value, "storm stride")?,
+            "seed" => self.seed = parse_u64(value)?,
+            "dh" => {
+                self.dh = DhStrength::parse(value)
+                    .ok_or_else(|| ServeError::Config(format!("bad dh strength {value:?}")))?;
+            }
+            "workload" => self.workload = value.to_string(),
+            "starvation_limit" => self.starvation_limit = parse_as(value, "starvation limit")?,
+            "chunk" => self.chunk = parse_u64(value)?,
+            "device_fault" => {
+                let bad = |what: String| ServeError::Config(what);
+                let (kind, rate) = value
+                    .split_once('@')
+                    .ok_or_else(|| bad(format!("expected KIND@RATE, got {value:?}")))?;
+                let kind = DeviceFaultKind::parse(kind)
+                    .ok_or_else(|| bad(format!("unknown device fault kind {kind:?}")))?;
+                self.device_fault = Some((kind, parse_as(rate, "device fault rate")?));
+            }
+            "device_fault_seed" => self.device_fault_seed = parse_u64(value)?,
+            other => return Err(ServeError::Config(format!("unknown key {other:?}"))),
+        }
+        Ok(())
+    }
+
     /// Rejects structurally unusable grids before any cell runs.
     ///
     /// # Errors

@@ -455,12 +455,12 @@ pub fn flag_key(flag: &str) -> Option<String> {
     }
 }
 
-fn split_list(value: &str) -> impl Iterator<Item = &str> {
+pub(crate) fn split_list(value: &str) -> impl Iterator<Item = &str> {
     value.split(',').map(str::trim).filter(|v| !v.is_empty())
 }
 
 /// One value; `what` names it in the error.
-fn parse_as<T: FromStr>(value: &str, what: &str) -> Result<T, SpecError> {
+pub(crate) fn parse_as<T: FromStr>(value: &str, what: &str) -> Result<T, SpecError> {
     value
         .parse()
         .map_err(|_| err(format!("bad {what} {value:?}")))
