@@ -1,11 +1,11 @@
 //! Fault-injection link layer with bounded-retry recovery.
 //!
-//! Sits between the [`ProcessorEngine`](crate::engine::ProcessorEngine)
-//! and the per-channel [`MemoryEngine`](crate::memside::MemoryEngine)s
-//! and models an unreliable memory bus: frames can be bit-flipped,
-//! dropped, duplicated, replayed, reordered, or delayed, each by an
-//! independent Bernoulli process drawn from a dedicated seeded
-//! [`SplitMix64`] stream ([`FaultPlan`]).
+//! Sits between the [`ProcessorEngine`] and the per-channel
+//! [`MemoryEngine`]s (lane 0 of each, the one session the backend wires
+//! per channel) and models an unreliable memory bus: frames can be
+//! bit-flipped, dropped, duplicated, replayed, reordered, or delayed,
+//! each by an independent Bernoulli process drawn from a dedicated
+//! seeded [`SplitMix64`] stream ([`FaultPlan`]).
 //!
 //! Recovery is a stop-and-wait ARQ layered on the paper's own integrity
 //! machinery (§3.5):

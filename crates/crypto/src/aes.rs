@@ -110,7 +110,7 @@ const fn gmul(a: u8, b: u8) -> u8 {
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
 /// Forces (or releases) the scalar reference path for ciphers constructed
-/// after this call. See [`FORCE_SCALAR`]'s intent: testing only.
+/// after this call. Testing only: production code should never call it.
 pub fn set_force_scalar(on: bool) {
     FORCE_SCALAR.store(on, Ordering::SeqCst);
 }

@@ -2,7 +2,8 @@
 //!
 //! A [`SweepSpec`] names the axes of a cartesian grid plus the master
 //! seed and instruction budget. [`SweepSpec::expand`] flattens it into
-//! the canonical job list; the axis order is stated once, at [`Axes`].
+//! the canonical job list; the axis order is stated once, in the
+//! private `Axes` table.
 //!
 //! Specs can also be read from a tiny `key = value` text format (see
 //! [`SweepSpec::parse`]), documented in `EXPERIMENTS.md`. Every key is

@@ -1,9 +1,9 @@
 //! Seeded device-fault processes for the PCM array (chaos campaigns).
 //!
-//! PR 3 hardened the *bus* ([`obfusmem-core::link`]'s `FaultyLink`); this
-//! module injects faults *inside the module's trust boundary*: the stored
-//! array bytes themselves. Four processes model the classic DRAM/PCM
-//! failure taxonomy:
+//! The link layer (`obfusmem_core::link`'s `FaultyLink`) hardens the
+//! *bus*; this module injects faults *inside the module's trust
+//! boundary*: the stored array bytes themselves. Four processes model the
+//! classic DRAM/PCM failure taxonomy:
 //!
 //! * **transient bit flips** — a random bit of a block reads wrong once;
 //!   a re-read returns the correct value (retry heals);
