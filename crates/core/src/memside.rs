@@ -36,7 +36,7 @@ pub struct DecodedRequest {
 /// Session state is an indexed *table* of lanes, not a singleton: the
 /// backend wires one lane per engine and addresses it as lane 0, while
 /// the multi-tenant session fabric parks many tenants' sessions on one
-/// engine. Every operation names its lane, as every
+/// engine. Every public operation names its lane, as every
 /// [`ProcessorEngine`](crate::engine::ProcessorEngine) call names its
 /// channel, and an out-of-range lane is a typed error.
 #[derive(Debug)]
