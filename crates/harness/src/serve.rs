@@ -145,12 +145,12 @@ impl ServeSpec {
             "starvation_limit" => self.starvation_limit = parse_as(value, "starvation limit")?,
             "chunk" => self.chunk = parse_u64(value)?,
             "device_fault" => {
-                let bad = |what: String| ServeError::Config(what);
-                let (kind, rate) = value
-                    .split_once('@')
-                    .ok_or_else(|| bad(format!("expected KIND@RATE, got {value:?}")))?;
-                let kind = DeviceFaultKind::parse(kind)
-                    .ok_or_else(|| bad(format!("unknown device fault kind {kind:?}")))?;
+                let (kind, rate) = value.split_once('@').ok_or_else(|| {
+                    ServeError::Config(format!("expected KIND@RATE, got {value:?}"))
+                })?;
+                let kind = DeviceFaultKind::parse(kind).ok_or_else(|| {
+                    ServeError::Config(format!("unknown device fault kind {kind:?}"))
+                })?;
                 self.device_fault = Some((kind, parse_as(rate, "device fault rate")?));
             }
             "device_fault_seed" => self.device_fault_seed = parse_u64(value)?,

@@ -19,8 +19,9 @@
 //!    session addressed explicitly as lane 0 (`ProcessorEngine` with a
 //!    one-entry session table, a single-lane `MemoryEngine::new`, an
 //!    unsharded `FrFcfsScheduler` with plain class-0 enqueues) and the
-//!    equivalence test compares the two traces sample by sample. This pins the serving mode as a strict
-//!    generalization of the paper's protocol: CI runs it as a gate.
+//!    equivalence test compares the two traces sample by sample. This
+//!    pins the serving mode as a strict generalization of the paper's
+//!    protocol: CI runs it as a gate.
 
 use obfusmem_core::busmsg::RequestHeader;
 use obfusmem_core::config::ObfusMemConfig;
