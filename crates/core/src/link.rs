@@ -217,8 +217,8 @@ impl LinkStats {
     }
 }
 
-/// Per-channel link protocol state.
-#[derive(Debug, Clone)]
+/// Per-channel link protocol state; the default is a fresh boot session.
+#[derive(Debug, Clone, Default)]
 struct ChannelLinkState {
     /// Sequence number the next delivery will carry.
     next_seq: u64,
@@ -235,20 +235,6 @@ struct ChannelLinkState {
     /// Last successfully delivered frame and its sequence number, kept
     /// as replay-attack fodder.
     last_sent: Option<(u64, Frame<2>)>,
-}
-
-impl ChannelLinkState {
-    fn new() -> Self {
-        ChannelLinkState {
-            next_seq: 0,
-            expected_seq: 0,
-            integrity_failures: 0,
-            rekeys: 0,
-            epoch: 0,
-            quarantined: false,
-            last_sent: None,
-        }
-    }
 }
 
 /// One frame on the wire: a request pair (`N = 2`) or a read reply
@@ -327,7 +313,7 @@ impl FaultyLink {
             cfg,
             plan,
             rng: SplitMix64::new(plan.seed).split_named("faulty-link"),
-            channels: vec![ChannelLinkState::new(); channels],
+            channels: vec![ChannelLinkState::default(); channels],
             stats: vec![LinkStats::default(); channels],
         }
     }
