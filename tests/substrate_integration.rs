@@ -9,6 +9,9 @@ use obfusmem::core::config::SecurityLevel;
 use obfusmem::core::system::{System, SystemConfig};
 use obfusmem::cpu::l1stream::{L1Stream, L1StreamConfig};
 use obfusmem::cpu::workload::micro_test_workload;
+use obfusmem::crypto::mac::{MacEngine, MacHash};
+use obfusmem::crypto::md5::to_hex;
+use obfusmem::crypto::sha1::Sha1;
 use obfusmem::mem::config::MemConfig;
 use obfusmem::mem::device::PcmMemory;
 use obfusmem::mem::request::AccessKind;
@@ -152,4 +155,25 @@ fn different_seeds_change_timing_but_not_structure() {
     let (t2, m2) = run(2);
     assert_eq!(m1, m2, "miss count is workload-determined");
     assert_ne!(t1, t2, "timing depends on the address stream");
+}
+
+/// Tier-1 twin of CI's integrity-kernel differential: the bytes every
+/// authenticated request and every recovery-ladder check put through
+/// MD5 and SHA-1, pinned through the public API. The tags are the first
+/// eight bytes of MD5(key ‖ len ‖ field ‖ … ‖ key), with every length a
+/// little-endian u64, as an independent MD5 gives them; the digest is
+/// plain SHA-1. Any faster kernel underneath must reproduce them.
+#[test]
+fn integrity_kernels_match_their_known_answers() {
+    let mac = MacEngine::new(std::array::from_fn(|i| 0xA0 ^ i as u8), MacHash::Md5);
+    let [request, dummy] = mac.command_tags([(0, 0xDEAD_BEC0, 1234), (1, 0x0012_3440, 1235)]);
+    let block: [u8; 64] = std::array::from_fn(|i| (i as u8).wrapping_mul(37) ^ 0x5C);
+    let reply = mac.reply_tag(0x0123_4567_89AB_CDEF, &block);
+    assert_eq!(to_hex(&request), "464e643d1fa8302a");
+    assert_eq!(to_hex(&dummy), "127afa209f41e646");
+    assert_eq!(to_hex(&reply), "070f5269a360bd39");
+    assert_eq!(
+        to_hex(&Sha1::digest(&block)),
+        "afa7cdc8a0b1fb241b2d15ce5497d66f2b99d91c"
+    );
 }
