@@ -884,20 +884,34 @@ pub(crate) fn receive_for(
     }
 }
 
+/// CRC-32 of every byte value (reflected, polynomial 0xEDB88320), built
+/// at compile time.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
 /// Link CRC over the data-ciphertext lanes of `packets`: the MAC
 /// already binds the headers (§3.5), so a data-less frame has nothing to
-/// protect. CRC-32 (reflected, polynomial 0xEDB88320), computed bitwise
-/// — this is a model, not a hot path.
+/// protect. CRC-32 (reflected, polynomial 0xEDB88320, initial value and
+/// final xor all ones), one [`CRC_TABLE`] lookup per byte: every framed
+/// delivery and every reply computes it.
 fn data_crc(packets: &[BusPacket]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &byte in packets.iter().filter_map(|p| p.data_ct.as_ref()).flatten() {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
+    let data = packets.iter().filter_map(|p| p.data_ct.as_ref()).flatten();
+    !data.fold(0xFFFF_FFFF, |crc, &byte| {
+        (crc >> 8) ^ CRC_TABLE[usize::from(crc as u8 ^ byte)]
+    })
 }
 
 #[cfg(test)]
@@ -920,6 +934,20 @@ mod tests {
     fn one_channel(cfg: ObfusMemConfig) -> (ProcessorEngine, MemoryEngine) {
         let (proc, mut mems) = engines_for_test(cfg, 1);
         (proc, mems.remove(0))
+    }
+
+    /// The bitwise CRC-32 the table in [`data_crc`] is built from: one
+    /// shift and conditional xor per bit.
+    fn data_crc_bitwise(packets: &[BusPacket]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &byte in packets.iter().filter_map(|p| p.data_ct.as_ref()).flatten() {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
     }
 
     fn plan_single(kind: FaultKind, rate: f64, seed: u64) -> FaultPlan {
@@ -1249,6 +1277,38 @@ mod tests {
                 assert_ne!(flipped, clean, "flip at {byte}.{bit}");
                 pkt.data_ct.as_mut().unwrap()[byte] ^= 1 << bit;
             }
+        }
+    }
+
+    /// One fixed frame's CRC, pinned: 0x0AAC978D is what the standard
+    /// (zlib, IEEE 802.3) CRC-32 gives over the frame's 128 data bytes,
+    /// and a frame with no data lanes has the CRC of no bytes.
+    #[test]
+    fn data_crc_matches_its_known_answer() {
+        let data = |bytes: [u8; 64]| BusPacket {
+            header_ct: [0u8; 16],
+            data_ct: Some(bytes),
+            tag: None,
+        };
+        let frame = [data(std::array::from_fn(|i| i as u8)), data([0xA5; 64])];
+        assert_eq!(data_crc(&frame), 0x0AAC978D);
+        assert_eq!(data_crc(&frame[..0]), 0);
+    }
+
+    obfusmem_testkit::proptest! {
+        #![proptest_config(obfusmem_testkit::prelude::ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn table_crc_matches_bitwise(
+            headers: [[u8; 16]; 2],
+            data: [Option<[u8; 64]>; 2],
+            tags: [Option<[u8; 8]>; 2],
+            two: bool
+        ) {
+            let frame: Vec<BusPacket> = (0..1 + usize::from(two))
+                .map(|i| BusPacket { header_ct: headers[i], data_ct: data[i], tag: tags[i] })
+                .collect();
+            obfusmem_testkit::prop_assert_eq!(data_crc(&frame), data_crc_bitwise(&frame));
         }
     }
 }

@@ -85,22 +85,45 @@ impl MacEngine {
         update(&self.key);
     }
 
-    /// Lays out the keyed, framed MD5 message over `parts` in a stack
-    /// buffer of exactly `B` blocks, padded in place. `B` must be the
-    /// padded length of the message, which is fixed by the part lengths.
+    /// The keyed, framed MD5 message of one command, written at fixed
+    /// offsets and padded: key ‖ 1 ‖ r ‖ 8 ‖ a ‖ 8 ‖ c ‖ key (73 bytes,
+    /// each length a little-endian u64), the 0x80 marker, and the bit
+    /// length in the last eight bytes of the second block.
     #[inline(always)]
-    fn md5_message<const B: usize>(&self, parts: &[&[u8]]) -> [[u8; 64]; B] {
-        let mut blocks = [[0u8; 64]; B];
-        let buf = blocks.as_flattened_mut();
-        let mut len = 0;
-        self.absorb(
-            |d| {
-                buf[len..len + d.len()].copy_from_slice(d);
-                len += d.len();
-            },
-            parts,
-        );
-        md5::pad_in_place(buf, len);
+    fn command_message(&self, (r, a, c): (u8, u64, u64)) -> [[u8; 64]; 2] {
+        let mut blocks = [[0u8; 64]; 2];
+        let m = blocks.as_flattened_mut();
+        m[..16].copy_from_slice(&self.key);
+        m[16..24].copy_from_slice(&1u64.to_le_bytes());
+        m[24] = r;
+        m[25..33].copy_from_slice(&8u64.to_le_bytes());
+        m[33..41].copy_from_slice(&a.to_le_bytes());
+        m[41..49].copy_from_slice(&8u64.to_le_bytes());
+        m[49..57].copy_from_slice(&c.to_le_bytes());
+        m[57..73].copy_from_slice(&self.key);
+        m[73] = 0x80;
+        m[120..].copy_from_slice(&(73u64 * 8).to_le_bytes());
+        blocks
+    }
+
+    /// The keyed, framed MD5 message of one read reply, written at fixed
+    /// offsets and padded: key ‖ 5 ‖ "reply" ‖ 8 ‖ c ‖ 64 ‖ ct ‖ key
+    /// (133 bytes), the 0x80 marker, and the bit length in the last eight
+    /// bytes of the third block.
+    #[inline(always)]
+    fn reply_message(&self, counter: u64, ct: &[u8; 64]) -> [[u8; 64]; 3] {
+        let mut blocks = [[0u8; 64]; 3];
+        let m = blocks.as_flattened_mut();
+        m[..16].copy_from_slice(&self.key);
+        m[16..24].copy_from_slice(&5u64.to_le_bytes());
+        m[24..29].copy_from_slice(b"reply");
+        m[29..37].copy_from_slice(&8u64.to_le_bytes());
+        m[37..45].copy_from_slice(&counter.to_le_bytes());
+        m[45..53].copy_from_slice(&64u64.to_le_bytes());
+        m[53..117].copy_from_slice(ct);
+        m[117..133].copy_from_slice(&self.key);
+        m[133] = 0x80;
+        m[184..].copy_from_slice(&(133u64 * 8).to_le_bytes());
         blocks
     }
 
@@ -119,9 +142,7 @@ impl MacEngine {
     pub fn command_tags<const N: usize>(&self, commands: [(u8, u64, u64); N]) -> [Tag; N] {
         match self.hash {
             MacHash::Md5 => {
-                let messages = commands.map(|(r, a, c)| {
-                    self.md5_message::<2>(&[&[r], &a.to_le_bytes(), &c.to_le_bytes()])
-                });
+                let messages = commands.map(|command| self.command_message(command));
                 md5::digest_padded(&messages).map(|d| truncate(&d))
             }
             MacHash::Sha1 => {
@@ -134,13 +155,12 @@ impl MacEngine {
     /// ciphertext and the pair's base counter. With MD5 the 133-byte
     /// message has a fixed three-block layout built on the stack.
     pub fn reply_tag(&self, counter: u64, ct: &[u8; 64]) -> Tag {
-        let parts: [&[u8]; 3] = [b"reply", &counter.to_le_bytes(), ct];
         match self.hash {
             MacHash::Md5 => {
-                let [digest] = md5::digest_padded(&[self.md5_message::<3>(&parts)]);
+                let [digest] = md5::digest_padded(&[self.reply_message(counter, ct)]);
                 truncate(&digest)
             }
-            MacHash::Sha1 => self.tag(&parts),
+            MacHash::Sha1 => self.tag(&[b"reply", &counter.to_le_bytes(), ct]),
         }
     }
 

@@ -191,19 +191,9 @@ pub(crate) fn compress_n<const N: usize>(states: &mut [[u32; 4]; N], blocks: [&[
     }
 }
 
-/// Pads the `len`-byte message at the front of `buf` in place: the 0x80
-/// marker after it and its bit length in the last eight bytes. `buf`
-/// must be zero past the message and exactly as long as the padded
-/// message (a multiple of 64 bytes, at least `len + 9`).
-pub(crate) fn pad_in_place(buf: &mut [u8], len: usize) {
-    debug_assert!(buf.len().is_multiple_of(64) && len + 9 <= buf.len() && buf.len() < len + 73);
-    buf[len] = 0x80;
-    let end = buf.len();
-    buf[end - 8..].copy_from_slice(&(len as u64 * 8).to_le_bytes());
-}
-
-/// Digests `N` messages already padded (see [`pad_in_place`]) to `B`
-/// blocks each, one [`compress_n`] lane per message.
+/// Digests `N` messages already padded to `B` blocks each (the 0x80
+/// marker, zeros, and the little-endian bit length in the last eight
+/// bytes), one [`compress_n`] lane per message.
 #[inline]
 pub(crate) fn digest_padded<const N: usize, const B: usize>(
     messages: &[[[u8; 64]; B]; N],
@@ -238,6 +228,14 @@ mod tests {
 
     fn hex(data: &[u8]) -> String {
         to_hex(&Md5::digest(data))
+    }
+
+    /// Pads the `len`-byte message at the front of `buf` in place: the
+    /// 0x80 marker after it and its bit length in the last eight bytes.
+    fn pad_in_place(buf: &mut [u8], len: usize) {
+        buf[len] = 0x80;
+        let end = buf.len();
+        buf[end - 8..].copy_from_slice(&(len as u64 * 8).to_le_bytes());
     }
 
     #[test]

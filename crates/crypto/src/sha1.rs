@@ -98,7 +98,65 @@ impl Sha1 {
         out
     }
 
+    /// The SHA-1 block function, unrolled: every step's round function
+    /// and constant are fixed at compile time, and the message schedule
+    /// rolls through 16 words (`w[i & 15]` is overwritten by `w[i]` once
+    /// `w[i - 16]` has been read).
     fn compress(&mut self, block: &[u8; 64]) {
+        let mut w: [u32; 16] = std::array::from_fn(|i| {
+            u32::from_be_bytes([
+                block[4 * i],
+                block[4 * i + 1],
+                block[4 * i + 2],
+                block[4 * i + 3],
+            ])
+        });
+        let [mut a, mut b, mut c, mut d, mut e] = self.state;
+        macro_rules! round {
+            ($f:expr, $k:expr; $($i:literal)+) => {$(
+                if $i >= 16 {
+                    w[$i & 15] = (w[($i + 13) & 15] ^ w[($i + 8) & 15] ^ w[($i + 2) & 15]
+                        ^ w[$i & 15])
+                        .rotate_left(1);
+                }
+                let t = a
+                    .rotate_left(5)
+                    .wrapping_add($f(b, c, d))
+                    .wrapping_add(e)
+                    .wrapping_add($k)
+                    .wrapping_add(w[$i & 15]);
+                e = d;
+                d = c;
+                c = b.rotate_left(30);
+                b = a;
+                a = t;
+            )+};
+        }
+        // Ch is a bit select, written as `d ^ (b & (c ^ d))`.
+        round!(|b: u32, c: u32, d: u32| d ^ (b & (c ^ d)), 0x5A82_7999;
+            0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19);
+        round!(|b: u32, c: u32, d: u32| b ^ c ^ d, 0x6ED9_EBA1;
+            20 21 22 23 24 25 26 27 28 29 30 31 32 33 34 35 36 37 38 39);
+        round!(|b: u32, c: u32, d: u32| (b & c) | (d & (b | c)), 0x8F1B_BCDC;
+            40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59);
+        round!(|b: u32, c: u32, d: u32| b ^ c ^ d, 0xCA62_C1D6;
+            60 61 62 63 64 65 66 67 68 69 70 71 72 73 74 75 76 77 78 79);
+        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::md5::to_hex;
+    use obfusmem_testkit as proptest;
+
+    /// The textbook block function: the whole 80-word schedule expanded
+    /// up front and the round picked per step. The unrolled `compress`
+    /// must match it.
+    fn compress_reference(state: &mut [u32; 5], block: &[u8; 64]) {
         let mut w = [0u32; 80];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(chunk.try_into().unwrap());
@@ -106,7 +164,7 @@ impl Sha1 {
         for i in 16..80 {
             w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
         }
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e] = *state;
         for (i, &wi) in w.iter().enumerate() {
             let (f, k) = match i / 20 {
                 0 => ((b & c) | (!b & d), 0x5A827999),
@@ -126,19 +184,10 @@ impl Sha1 {
             b = a;
             a = tmp;
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e]) {
+            *s = s.wrapping_add(v);
+        }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::md5::to_hex;
-    use obfusmem_testkit as proptest;
 
     #[test]
     fn fips180_vectors() {
@@ -192,6 +241,15 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             proptest::prop_assert_eq!(h.finalize(), Sha1::digest(&data));
+        }
+
+        #[test]
+        fn unrolled_compress_matches_reference(state: [u32; 5], block: [u8; 64]) {
+            let mut h = Sha1 { state, ..Sha1::new() };
+            h.compress(&block);
+            let mut reference = state;
+            compress_reference(&mut reference, &block);
+            proptest::prop_assert_eq!(h.state, reference);
         }
 
         #[test]
