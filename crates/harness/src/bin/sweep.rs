@@ -247,6 +247,7 @@ usage: sweep serve [options]
   --out FILE           JSONL output file (default serve.jsonl)
   --fresh              delete the output file first
   --verify-single      run the 1-tenant legacy-equivalence gate and exit
+                       (takes only --seed and --requests)
   --quiet              suppress progress lines
   -h, --help           show this help";
 
@@ -262,6 +263,8 @@ fn parse_serve_args(args: impl Iterator<Item = String>) -> Result<ServeCli, Stri
     let next_value = |flag: &str, args: &mut dyn Iterator<Item = String>| {
         args.next().ok_or_else(|| format!("{flag} needs a value"))
     };
+    // The first spec flag the 1-tenant gate would not honour.
+    let mut not_verified = None;
 
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -278,8 +281,17 @@ fn parse_serve_args(args: impl Iterator<Item = String>) -> Result<ServeCli, Stri
                 let key = flag_key(flag).ok_or_else(|| format!("unknown argument {flag:?}"))?;
                 let value = next_value(flag, &mut args)?;
                 cli.spec.set(&key, &value).map_err(|e| e.to_string())?;
+                if key != "seed" && key != "requests" {
+                    not_verified.get_or_insert(arg);
+                }
             }
         }
+    }
+    if let (true, Some(flag)) = (cli.verify_single, not_verified) {
+        return Err(format!(
+            "--verify-single checks one tenant on one channel with only \
+             --seed and --requests; it cannot honour {flag}"
+        ));
     }
     Ok(cli)
 }
@@ -485,6 +497,38 @@ mod tests {
             .err()
             .expect("a device fault without a rate must be rejected");
         assert!(err.contains("KIND@RATE"), "got: {err}");
+    }
+
+    /// `--verify-single` checks a 1-tenant, 1-channel fabric from only
+    /// the seed and request count, so any other serve key alongside it
+    /// is an error that names the flag, in either order.
+    #[test]
+    fn verify_single_rejects_every_key_it_cannot_honour() {
+        let cli = parse_serve_args(argv(&[
+            "--verify-single",
+            "--requests",
+            "128",
+            "--seed",
+            "0x1E6AC7",
+        ]))
+        .expect("seed and requests are what the gate checks");
+        assert!(cli.verify_single);
+        assert_eq!((cli.spec.requests, cli.spec.seed), (128, 0x1E6AC7));
+        for (key, value) in SERVE_KEYS {
+            if key == "seed" || key == "requests" {
+                continue;
+            }
+            let flag = format!("--{}", key.replace('_', "-"));
+            for args in [
+                [flag.as_str(), value, "--verify-single"],
+                ["--verify-single", flag.as_str(), value],
+            ] {
+                let err = parse_serve_args(argv(&args))
+                    .err()
+                    .unwrap_or_else(|| panic!("{args:?} must be rejected"));
+                assert!(err.contains(&flag), "{args:?}: {err}");
+            }
+        }
     }
 
     /// A malformed axis must also fail at expansion time when it sneaks in
