@@ -3,8 +3,8 @@
 //! ```text
 //! tables [-n INSTRUCTIONS] [-s SEED] [EXPERIMENT...]
 //!
-//! experiments: config table1 table3 fig4 fig5 energy table4 backends leakage
-//!              oram-variants oram-detailed oram-codesign
+//! experiments: config table1 table3 fig4 fig5 energy table4 thermal backends
+//!              leakage oram-variants oram-detailed oram-codesign
 //!              ablation-dummy ablation-mac ablation-pairing ablation-mapping
 //!              ablation-typehiding ablation-stash trace all
 //! ```
@@ -71,6 +71,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "ablation-mapping",
             "ablation-typehiding",
             "ablation-stash",
+            "thermal",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -110,6 +111,7 @@ fn main() {
                 let (oram, obfus) = experiments::table4();
                 println!("{}", render::table4(&oram, &obfus));
             }
+            "thermal" => println!("{}", render::thermal(&experiments::thermal(seed))),
             "leakage" => println!(
                 "{}",
                 render::leakage(&experiments::leakage_matrix(instructions, seed))
@@ -238,9 +240,8 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: tables [-n INSTRUCTIONS] [-s SEED] [EXPERIMENT...]\n\
-         experiments: config table1 table3 fig4 fig5 energy table4 backends leakage\n\
-         \u{20}            oram-variants\n\
-         \u{20}            oram-detailed oram-codesign\n\
+         experiments: config table1 table3 fig4 fig5 energy table4 thermal backends\n\
+         \u{20}            leakage oram-variants oram-detailed oram-codesign\n\
          \u{20}            ablation-dummy ablation-mac ablation-pairing ablation-mapping\n\u{20}            ablation-typehiding ablation-stash trace all"
     );
     std::process::exit(2);

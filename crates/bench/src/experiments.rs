@@ -5,7 +5,7 @@ use obfusmem_core::config::{
     ChannelStrategy, DummyAddressPolicy, MacScheme, ObfusMemConfig, SecurityLevel, TypeHiding,
 };
 use obfusmem_core::system::{System, SystemConfig};
-use obfusmem_cpu::core::MemoryBackend;
+use obfusmem_cpu::core::{MemoryBackend, RunResult};
 use obfusmem_cpu::workload::{by_name, table1_workloads, WorkloadSpec};
 use obfusmem_harness::measure::{run_point, run_point_observed, PointSpec, Scheme};
 use obfusmem_mem::config::MemConfig;
@@ -399,6 +399,136 @@ pub fn table4() -> (SchemeColumn, SchemeColumn) {
     (measure_oram(), measure_obfusmem())
 }
 
+/// Accesses each program makes in the §6.2 thermal study.
+pub const THERMAL_ACCESSES: u64 = 2000;
+
+/// The §6.2 thermal side channel, measured as the top-1% share of
+/// activations under a 4-row hot-set program (80% of accesses) and a
+/// uniform one.
+#[derive(Debug, Clone, Copy)]
+pub struct ThermalReport {
+    /// ObfusMem, hot-set program: share of PCM row activations in the
+    /// hottest 1% of rows.
+    pub obfus_hot: f64,
+    /// ObfusMem, uniform program.
+    pub obfus_uniform: f64,
+    /// Path ORAM, hot-set program: share of bucket activations in the
+    /// hottest 1% of buckets.
+    pub oram_hot: f64,
+    /// Path ORAM, uniform program.
+    pub oram_uniform: f64,
+    /// Path ORAM root-bucket activations: `(hot-set, uniform)`.
+    pub oram_root: (u64, u64),
+}
+
+/// Runs the §6.2 thermal study.
+///
+/// The paper concedes that not reshuffling data "allows attackers to
+/// thermally analyze the memory chips", while ORAM's reshuffling "makes
+/// thermal side channel analysis harder". A thermal probe integrates
+/// per-row activations, so the signal is concentration: a few hot rows
+/// glowing above the rest. Under ObfusMem the program's hot rows stay
+/// physically hot. Under Path ORAM blocks wander the tree, so the heat
+/// map is the path distribution whatever the program: the root is on
+/// every path and hottest for every workload, carrying no information.
+pub fn thermal(seed: u64) -> ThermalReport {
+    let (oram_hot, root_hot) = oram_heat(0.8, seed);
+    let (oram_uniform, root_uniform) = oram_heat(0.0, seed);
+    ThermalReport {
+        obfus_hot: obfusmem_heat(0.8, seed),
+        obfus_uniform: obfusmem_heat(0.0, seed),
+        oram_hot,
+        oram_uniform,
+        oram_root: (root_hot, root_uniform),
+    }
+}
+
+/// ObfusMem's top-1% row share when `hot_fraction` of reads go to four
+/// hot (bank, row) slots and the rest spread over 2000 rows.
+fn obfusmem_heat(hot_fraction: f64, seed: u64) -> f64 {
+    use obfusmem_mem::request::BlockAddr;
+    let mut b = ObfusMemBackend::new(ObfusMemConfig::paper_default(), MemConfig::table2(), seed);
+    let mut rng = SplitMix64::new(seed ^ 1);
+    let mut t = obfusmem_sim::time::Time::ZERO;
+    for _ in 0..THERMAL_ACCESSES {
+        let addr = if rng.chance(hot_fraction) {
+            rng.below(4) * 1024 * 16
+        } else {
+            (1 << 20) + rng.below(2000) * 1024
+        };
+        t = b.read(t, BlockAddr::containing(addr));
+    }
+    top_share(&b.memory().activation_counts(), 0.01)
+}
+
+/// Path ORAM's top-1% bucket share (a bucket ≈ a row) under the same
+/// program shape, plus the root bucket's activation count.
+fn oram_heat(hot_fraction: f64, seed: u64) -> (f64, u64) {
+    let mut oram = PathOram::new(
+        OramConfig {
+            levels: 10,
+            bucket_size: 4,
+            blocks: 2048,
+        },
+        seed,
+    )
+    .expect("valid geometry");
+    let mut bucket_heat = std::collections::HashMap::new();
+    let mut rng = SplitMix64::new(seed ^ 2);
+    for _ in 0..THERMAL_ACCESSES {
+        let id = if rng.chance(hot_fraction) {
+            rng.below(4)
+        } else {
+            4 + rng.below(2000)
+        };
+        let (_, leaf) = oram.read_traced(id).expect("in range");
+        for node in oram.tree().path_nodes(leaf) {
+            *bucket_heat.entry(node).or_insert(0u64) += 1;
+        }
+    }
+    let counts: Vec<u64> = bucket_heat.values().copied().collect();
+    (top_share(&counts, 0.01), bucket_heat[&0])
+}
+
+/// Fraction of all activations landing in the hottest `frac` of rows;
+/// `frac` itself is the uniform baseline.
+fn top_share(counts: &[u64], frac: f64) -> f64 {
+    let mut sorted = counts.to_vec();
+    sorted.sort_unstable_by(|a, b| b.cmp(a));
+    let take = ((sorted.len() as f64 * frac).ceil() as usize).max(1);
+    let hot: u64 = sorted.iter().take(take).sum();
+    let total: u64 = sorted.iter().sum();
+    if total == 0 {
+        0.0
+    } else {
+        hot as f64 / total as f64
+    }
+}
+
+/// `spec` under ObfusMem+Auth at the `obfus` design point on the Table 2
+/// machine: the protected point of each design ablation.
+fn auth_point(
+    spec: &WorkloadSpec,
+    obfus: ObfusMemConfig,
+    instructions: u64,
+    seed: u64,
+) -> PointSpec {
+    PointSpec {
+        obfus,
+        ..PointSpec::paper(spec.clone(), Scheme::ObfusmemAuth, instructions, seed)
+    }
+}
+
+/// The unprotected baseline an ablation's overheads are against.
+fn ablation_baseline(spec: &WorkloadSpec, instructions: u64, seed: u64) -> RunResult {
+    run_point(&PointSpec::paper(
+        spec.clone(),
+        Scheme::Unprotected,
+        instructions,
+        seed,
+    ))
+}
+
 /// One ablation row for the dummy-address policy study (§3.3).
 #[derive(Debug, Clone)]
 pub struct DummyPolicyRow {
@@ -415,13 +545,7 @@ pub struct DummyPolicyRow {
 /// Ablation: fixed vs original vs random dummy addresses.
 pub fn ablation_dummy_policy(instructions: u64, seed: u64) -> Vec<DummyPolicyRow> {
     let spec = by_name("bwaves").expect("Table 1 workload");
-    let base = {
-        let mut sys = System::new(SystemConfig {
-            security: SecurityLevel::Unprotected,
-            ..SystemConfig::default()
-        });
-        sys.run(&spec, instructions, seed)
-    };
+    let base = ablation_baseline(&spec, instructions, seed);
     [
         DummyAddressPolicy::Fixed,
         DummyAddressPolicy::Original,
@@ -429,13 +553,14 @@ pub fn ablation_dummy_policy(instructions: u64, seed: u64) -> Vec<DummyPolicyRow
     ]
     .into_iter()
     .map(|policy| {
-        let cfg = ObfusMemConfig {
-            dummy_policy: policy,
-            ..ObfusMemConfig::paper_default()
-        };
+        // Array wear is not in the metrics snapshot, so this run keeps
+        // its machine to read it.
         let mut sys = System::new(SystemConfig {
             security: SecurityLevel::ObfuscateAuth,
-            obfus: cfg,
+            obfus: ObfusMemConfig {
+                dummy_policy: policy,
+                ..ObfusMemConfig::paper_default()
+            },
             mem: MemConfig::table2(),
         });
         let r = sys.run(&spec, instructions, seed);
@@ -461,13 +586,7 @@ pub struct MacSchemeRow {
 /// Ablation: encrypt-and-MAC vs encrypt-then-MAC.
 pub fn ablation_mac_scheme(instructions: u64, seed: u64) -> Vec<MacSchemeRow> {
     let spec = by_name("mcf").expect("Table 1 workload");
-    let base = {
-        let mut sys = System::new(SystemConfig {
-            security: SecurityLevel::Unprotected,
-            ..SystemConfig::default()
-        });
-        sys.run(&spec, instructions, seed)
-    };
+    let base = ablation_baseline(&spec, instructions, seed);
     [MacScheme::EncryptAndMac, MacScheme::EncryptThenMac]
         .into_iter()
         .map(|scheme| {
@@ -475,14 +594,10 @@ pub fn ablation_mac_scheme(instructions: u64, seed: u64) -> Vec<MacSchemeRow> {
                 mac_scheme: scheme,
                 ..ObfusMemConfig::paper_default()
             };
-            let mut sys = System::new(SystemConfig {
-                security: SecurityLevel::ObfuscateAuth,
-                obfus: cfg,
-                mem: MemConfig::table2(),
-            });
+            let p = auth_point(&spec, cfg, instructions, seed);
             MacSchemeRow {
                 scheme,
-                overhead: sys.run(&spec, instructions, seed).overhead_vs(&base),
+                overhead: run_point(&p).overhead_vs(&base),
             }
         })
         .collect()
@@ -513,18 +628,14 @@ pub fn ablation_mapping(instructions: u64, seed: u64) -> Vec<MappingRow> {
         .into_iter()
         .map(|mapping| {
             let mem = MemConfig::table2().with_channels(4).with_mapping(mapping);
-            let mut base = System::new(SystemConfig {
-                security: SecurityLevel::Unprotected,
-                mem: mem.clone(),
-                ..SystemConfig::default()
-            });
-            let r_base = base.run(&spec, instructions, seed);
-            let mut prot = System::new(SystemConfig {
-                security: SecurityLevel::ObfuscateAuth,
-                mem: mem.clone(),
-                ..SystemConfig::default()
-            });
-            let r_prot = prot.run(&spec, instructions, seed);
+            let run = |scheme| {
+                run_point(&PointSpec {
+                    mem: mem.clone(),
+                    ..PointSpec::paper(spec.clone(), scheme, instructions, seed)
+                })
+            };
+            let r_base = run(Scheme::Unprotected);
+            let r_prot = run(Scheme::ObfusmemAuth);
 
             // Leakage probe: sequential stream, no injection.
             let cfg = ObfusMemConfig {
@@ -741,13 +852,7 @@ pub struct TypeHidingRow {
 /// write-heavy workload (lbm: 45% write-backs).
 pub fn ablation_type_hiding(instructions: u64, seed: u64) -> Vec<TypeHidingRow> {
     let spec = by_name("lbm").expect("Table 1 workload");
-    let base = {
-        let mut sys = System::new(SystemConfig {
-            security: SecurityLevel::Unprotected,
-            ..SystemConfig::default()
-        });
-        sys.run(&spec, instructions, seed)
-    };
+    let base = ablation_baseline(&spec, instructions, seed);
     [
         TypeHiding::SplitDummy,
         TypeHiding::SplitDummyWithSubstitution,
@@ -759,17 +864,14 @@ pub fn ablation_type_hiding(instructions: u64, seed: u64) -> Vec<TypeHidingRow> 
             type_hiding: scheme,
             ..ObfusMemConfig::paper_default()
         };
-        let mut sys = System::new(SystemConfig {
-            security: SecurityLevel::ObfuscateAuth,
-            obfus: cfg,
-            mem: MemConfig::table2(),
-        });
-        let r = sys.run(&spec, instructions, seed);
+        let p = auth_point(&spec, cfg, instructions, seed);
+        let (r, metrics) = run_point_observed(&p, &TraceHandle::disabled());
+        let counter = |name| metrics.counter(name).expect("protected point metrics");
         TypeHidingRow {
             scheme,
             overhead: r.overhead_vs(&base),
-            bus_busy_ps: sys.backend().memory().channel_stats(0).bus_busy_ps.get(),
-            substituted: sys.backend().stats().substituted_pairs,
+            bus_busy_ps: counter("mem.ch0.bus_busy_ps"),
+            substituted: counter("engine.substituted_pairs"),
         }
     })
     .collect()
@@ -833,13 +935,7 @@ pub struct PairingRow {
 /// workload.
 pub fn ablation_pairing(instructions: u64, seed: u64) -> Vec<PairingRow> {
     let spec = by_name("milc").expect("Table 1 workload");
-    let base = {
-        let mut sys = System::new(SystemConfig {
-            security: SecurityLevel::Unprotected,
-            ..SystemConfig::default()
-        });
-        sys.run(&spec, instructions, seed)
-    };
+    let base = ablation_baseline(&spec, instructions, seed);
     use obfusmem_core::config::PairingOrder;
     [PairingOrder::ReadThenWrite, PairingOrder::WriteThenRead]
         .into_iter()
@@ -848,14 +944,10 @@ pub fn ablation_pairing(instructions: u64, seed: u64) -> Vec<PairingRow> {
                 pairing,
                 ..ObfusMemConfig::paper_default()
             };
-            let mut sys = System::new(SystemConfig {
-                security: SecurityLevel::ObfuscateAuth,
-                obfus: cfg,
-                mem: MemConfig::table2(),
-            });
+            let p = auth_point(&spec, cfg, instructions, seed);
             PairingRow {
                 pairing,
-                overhead: sys.run(&spec, instructions, seed).overhead_vs(&base),
+                overhead: run_point(&p).overhead_vs(&base),
             }
         })
         .collect()
@@ -1185,6 +1277,43 @@ mod tests {
             rows[1].overhead,
             rows[0].overhead
         );
+    }
+
+    #[test]
+    fn top_share_basics() {
+        assert!((top_share(&[100, 1, 1, 1], 0.25) - 100.0 / 103.0).abs() < 1e-12);
+        assert!((top_share(&[5, 5, 5, 5], 0.25) - 0.25).abs() < 1e-12);
+        assert_eq!(top_share(&[], 0.5), 0.0);
+    }
+
+    /// The §6.2 comparison, stated as program information: ObfusMem's
+    /// heat map changes with the program (the attacker reads its hot set
+    /// off the chip); ORAM's is the tree's path distribution for every
+    /// program, concentrated at the root but identical across programs.
+    #[test]
+    fn obfusmem_heat_is_program_shaped_oram_heat_is_not() {
+        for seed in [61, 200_302_317] {
+            let r = thermal(seed);
+            assert!(
+                r.obfus_hot > 0.5,
+                "ObfusMem must leave program heat visible: top-1% share {}",
+                r.obfus_hot
+            );
+            assert!(
+                r.obfus_hot - r.obfus_uniform > 0.3,
+                "ObfusMem heat must distinguish programs: hot {} vs uniform {}",
+                r.obfus_hot,
+                r.obfus_uniform
+            );
+            assert!(
+                (r.oram_hot - r.oram_uniform).abs() < 0.05,
+                "ORAM heat must be workload-independent: hot {} vs uniform {}",
+                r.oram_hot,
+                r.oram_uniform
+            );
+            // The root is on every path: maximum heat, zero information.
+            assert_eq!(r.oram_root, (THERMAL_ACCESSES, THERMAL_ACCESSES));
+        }
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! `EXPERIMENTS.md` records both sides.
 
 pub mod experiments;
-pub mod quick;
 pub mod render;
 
 /// Default instruction budget per run. The paper simulates 200 M

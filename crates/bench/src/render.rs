@@ -2,8 +2,8 @@
 //! published numbers.
 
 use crate::experiments::{
-    DummyPolicyRow, EnergyReport, Fig4Row, Fig5Point, MacSchemeRow, StashRow, Table1Row, Table3Row,
-    PAPER_FIG4_AVG,
+    fig5_mix, DummyPolicyRow, EnergyReport, Fig4Row, Fig5Point, MacSchemeRow, StashRow, Table1Row,
+    Table3Row, ThermalReport, PAPER_FIG4_AVG, THERMAL_ACCESSES,
 };
 use obfusmem_sec::table4::SchemeColumn;
 
@@ -83,7 +83,11 @@ pub fn fig4(rows: &[Fig4Row], avg: &Fig4Row) -> String {
 /// Renders Figure 5 (series of overhead vs channel count).
 pub fn fig5(points: &[Fig5Point]) -> String {
     let mut out = String::new();
-    out.push_str("Figure 5: channel sweep, 4-core high-MPKI mix (overhead vs unprotected)\n");
+    out.push_str(&format!(
+        "Figure 5: channel sweep, mean of {} high-MPKI workloads each run alone on one core \
+         (overhead vs unprotected)\n",
+        fig5_mix().len()
+    ));
     out.push_str(&format!(
         "{:<10} {:<8} {:<6} {:>10}\n",
         "channels", "scheme", "auth", "overhead"
@@ -172,6 +176,28 @@ pub fn table4(oram: &SchemeColumn, obfus: &SchemeColumn) -> String {
         "deadlock possible",
         b(oram.deadlock_possible),
         b(obfus.deadlock_possible),
+    )
+}
+
+/// Renders the §6.2 thermal study.
+pub fn thermal(r: &ThermalReport) -> String {
+    format!(
+        "Thermal side channel (6.2): top-1% share of activations, {THERMAL_ACCESSES} accesses\n\
+         {:<24} {:>9} {:>10}\n\
+         {:<24} {:>8.1}% {:>9.1}%\n\
+         {:<24} {:>8.1}% {:>9.1}%\n\
+         Path ORAM root bucket: {} / {} activations (hot set / uniform)\n",
+        "program",
+        "ObfusMem",
+        "Path ORAM",
+        "4-row hot set (80%)",
+        r.obfus_hot * 100.0,
+        r.oram_hot * 100.0,
+        "uniform",
+        r.obfus_uniform * 100.0,
+        r.oram_uniform * 100.0,
+        r.oram_root.0,
+        r.oram_root.1,
     )
 }
 

@@ -561,9 +561,9 @@ impl ObfusMemBackend {
         let phys_addr = BlockAddr::containing(phys);
         let (data, observed) = self.mem.read_block_faulty(phys_addr);
         // The corrected (ECC-margin) readout is the detection oracle and
-        // recovery ground truth: the integrity substrate (counters +
-        // Merkle roots, modeled as per-block digests) says what the
-        // array *should* hold.
+        // recovery ground truth: per-block digests say what the array
+        // *should* hold. They stand in for the Merkle tree the paper
+        // assumes, which this repo does not model.
         let corrected = self.mem.read_block(phys_addr);
         let rc = self.recovery.as_mut().expect("checked above");
         if rc.verify(logical, &data, &corrected) {

@@ -33,12 +33,6 @@ pub enum ObfusMemError {
         /// Channels configured.
         channels: usize,
     },
-    /// Merkle verification failed: memory contents were modified behind
-    /// the processor's back.
-    IntegrityViolation {
-        /// Block whose verification failed.
-        addr: u64,
-    },
     /// The link layer exhausted its retry budget for one delivery.
     RetriesExhausted {
         /// Channel whose delivery failed.
@@ -69,9 +63,6 @@ impl fmt::Display for ObfusMemError {
             ObfusMemError::Crypto(e) => write!(f, "cryptographic failure: {e}"),
             ObfusMemError::NoSuchChannel { channel, channels } => {
                 write!(f, "channel {channel} out of range ({channels} configured)")
-            }
-            ObfusMemError::IntegrityViolation { addr } => {
-                write!(f, "integrity violation at {addr:#x}")
             }
             ObfusMemError::RetriesExhausted { channel, attempts } => {
                 write!(

@@ -18,7 +18,7 @@
 //! | §3.4 inter-channel obfuscation (UNOPT/OPT injection) | [`channels`] |
 //! | §3.5 communication authentication (encrypt-and-MAC vs encrypt-then-MAC) | [`engine`], [`memside`], [`config::MacScheme`] |
 //! | link fault injection + bounded-retry recovery (robustness extension) | [`link`], [`config::FaultPlan`] |
-//! | Merkle-tree memory integrity (assumed substrate) | [`merkle`] |
+//! | Merkle-tree memory integrity | assumed by the paper; not modelled here |
 //! | full-system performance model (gem5 replacement) | [`backend`], [`system`] |
 //!
 //! # Quick start
@@ -45,7 +45,6 @@ pub mod engine;
 pub mod link;
 pub mod memenc;
 pub mod memside;
-pub mod merkle;
 pub mod recovery;
 pub mod session;
 pub mod system;

@@ -156,7 +156,8 @@ mod tests {
     #[test]
     fn stale_ciphertext_fails_to_decrypt_after_rewrite() {
         // Replaying old memory contents yields garbage once the counter
-        // advanced — the replay-defense property Merkle trees verify.
+        // advanced. Catching the replay is left to the Merkle tree the
+        // paper assumes, which this repo does not model.
         let mut e = engine();
         let (old_ct, _) = e.encrypt_block(0x40, &[1; 64]);
         e.encrypt_block(0x40, &[2; 64]);

@@ -667,7 +667,8 @@ mod tests {
     #[test]
     fn unauthenticated_mode_accepts_tampering_silently() {
         // Documents the §3.5 trade-off: without MACs, tampering garbles
-        // the address but is not *detected* here (Merkle catches it later).
+        // the address but is not *detected* here. The paper leaves that to
+        // its assumed Merkle tree, which this repo does not model.
         let cfg = ObfusMemConfig {
             security: crate::config::SecurityLevel::Obfuscate,
             ..Default::default()

@@ -69,8 +69,9 @@ pub struct RecoveryConfig {
     pub retry_backoff: Duration,
     /// Exponent cap for the backoff shift.
     pub backoff_cap: u32,
-    /// Modeled cost of a counter/Merkle resync (PR 3's escalation step,
-    /// applied to the at-rest tree instead of the link).
+    /// Modeled cost of a counter resync: the link's escalation step,
+    /// applied to the at-rest counters. The Merkle tree the paper assumes
+    /// over them is not modelled; this flat cost stands in for it.
     pub resync_latency: Duration,
     /// Fixed cost of quarantining a bank (fusing it out of the decoder).
     pub quarantine_latency: Duration,
@@ -106,7 +107,7 @@ pub struct RecoveryStats {
     pub detected: u64,
     /// Re-read attempts issued.
     pub retried: u64,
-    /// Counter/Merkle resyncs performed.
+    /// Counter resyncs performed.
     pub resynced: u64,
     /// Banks quarantined.
     pub quarantined: u64,
@@ -480,7 +481,7 @@ impl RecoveryController {
     ///
     /// 1. bounded re-reads with exponential backoff (transient flips
     ///    redraw per read and clear);
-    /// 2. a counter/Merkle resync, then one more re-read;
+    /// 2. a counter resync, then one more re-read;
     /// 3. when neither neighbour of the slot reads corrupt twice running,
     ///    the damage is confined to the block: retire it to a spare slot,
     ///    up to `MAX_RETIREMENTS` times;

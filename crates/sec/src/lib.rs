@@ -21,12 +21,9 @@
 //! * [`isolation`] — multi-tenant isolation proofs for the session
 //!   fabric: cross-tenant timing invisibility, and bit-identity of the
 //!   1-tenant fabric with the legacy single-session path.
-//! * [`thermal`] — the §6.2 thermal side channel: how concentrated row
-//!   activations are under each scheme.
 
 pub mod isolation;
 pub mod leakage;
 pub mod observatory;
 pub mod table4;
 pub mod tamper;
-pub mod thermal;

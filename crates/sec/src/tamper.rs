@@ -146,9 +146,9 @@ pub fn run_campaign(cfg: ObfusMemConfig, kind: TamperKind, attempts: u64) -> Cam
                     Ok((decoded, _)) => {
                         // Encrypt-and-MAC does not cover data directly
                         // (Observation 4): corruption passes the command
-                        // check but garbles the payload, which the Merkle
-                        // tree catches on the next read. Count immediate
-                        // detection only.
+                        // check but garbles the payload. The paper leaves
+                        // that to its assumed Merkle tree, which this repo
+                        // does not model. Count immediate detection only.
                         let _ = decoded;
                         false
                     }
@@ -323,7 +323,7 @@ mod tests {
     }
 
     #[test]
-    fn encrypt_and_mac_defers_data_tampering_to_merkle() {
+    fn encrypt_and_mac_defers_data_tampering() {
         // Observation 4's stated drawback, verified.
         let cfg = ObfusMemConfig::paper_default();
         let r = run_campaign(cfg, TamperKind::FlipDataBit, 25);
