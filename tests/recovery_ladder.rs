@@ -19,6 +19,13 @@
 //! JSONL rows fold into one FNV-1a digest, the same bytes the `sweep`
 //! invocation writes for that campaign.
 //!
+//! The device chaos campaign is pinned the same way: micro under
+//! Unprotected, ObfusMem and ObfusMem+Auth with every device fault kind at
+//! rate 0.002 and device seed 0xD4A17, the grid CI's "Device chaos
+//! campaign" step runs. Its twelve rows must each report
+//! `dev_unrecovered` 0, and their bytes fold to the FNV-1a of the
+//! `device-chaos.jsonl` the `sweep` binary writes.
+//!
 //! A mismatch prints the whole recomputed table. Paste it over `PINS`
 //! only when the change in simulated behaviour is deliberate.
 
@@ -28,7 +35,7 @@ use obfusmem::core::link::ALL_FAULT_KINDS;
 use obfusmem::core::recovery::RecoveryStats;
 use obfusmem::cpu::core::MemoryBackend;
 use obfusmem::mem::config::{BackendKind, MemConfig};
-use obfusmem::mem::fault::{DeviceFaultKind, DeviceFaultPlan};
+use obfusmem::mem::fault::{DeviceFaultKind, DeviceFaultPlan, ALL_DEVICE_FAULT_KINDS};
 use obfusmem::mem::request::BlockAddr;
 use obfusmem::obs::metrics::MetricsNode;
 use obfusmem::sim::time::{Duration, Time};
@@ -266,4 +273,46 @@ fn fault_campaign_rows_match_their_known_answer() {
             h.0
         );
     }
+}
+
+/// `(rows, FNV-1a of the rows)` for the device chaos campaign: every
+/// device fault kind at rate 0.002 under device seed 0xD4A17, 50k
+/// instructions of micro under the three schemes with a memory array.
+const DEVICE_CHAOS_PIN: (usize, u64) = (12, 0xe08f_900e_9df0_bb8d);
+
+#[test]
+fn device_chaos_rows_match_their_known_answer() {
+    let spec = SweepSpec {
+        workloads: vec!["micro".into()],
+        schemes: vec![Scheme::Unprotected, Scheme::Obfusmem, Scheme::ObfusmemAuth],
+        device_fault_kinds: ALL_DEVICE_FAULT_KINDS.to_vec(),
+        device_fault_rates: vec![0.002],
+        device_fault_seed: 0xD4A17,
+        instructions: 50_000,
+        ..SweepSpec::default()
+    };
+    let jobs = spec.expand().expect("the chaos grid is valid");
+    let mut text = String::new();
+    for job in &jobs {
+        let out = run_job(job);
+        let rec = out
+            .device_recovery()
+            .expect("every chaos row engages the recovery ladder");
+        assert_eq!(
+            rec.counter("unrecovered"),
+            Some(0),
+            "{}: every device fault must be recovered",
+            job.id
+        );
+        text.push_str(&encode_row(&out, false));
+        text.push('\n');
+    }
+    let mut h = Fnv::new();
+    h.bytes(text.as_bytes());
+    assert_eq!(
+        (jobs.len(), h.0),
+        DEVICE_CHAOS_PIN,
+        "device chaos rows moved; recomputed digest {:#018x}, rows:\n{text}",
+        h.0
+    );
 }
