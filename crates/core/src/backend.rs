@@ -28,8 +28,8 @@ use obfusmem_sim::time::{Duration, Time};
 use crate::busmsg::{BusEvent, BusPacket, Direction, GroundTruth, RequestHeader};
 use crate::channels::ChannelObfuscator;
 use crate::config::{DummyAddressPolicy, MacScheme, ObfusMemConfig, PairingOrder, TypeHiding};
-use crate::engine::{ObfuscatedPair, ProcessorEngine, INJECTED_HEADERS};
-use crate::link::{obfuscate_for, receive_for, Delivery, DeliveryOutcome, FaultyLink, LinkStats};
+use crate::engine::{ObfuscatedPair, ProcessorEngine};
+use crate::link::{DeliveryOutcome, FaultyLink, LinkStats};
 use crate::memenc::MemoryEncryption;
 use crate::memside::MemoryEngine;
 use crate::recovery::{
@@ -37,6 +37,7 @@ use crate::recovery::{
 };
 use crate::session::{ChannelSession, SessionKeyTable};
 use crate::tap::BusTapHandle;
+use crate::window::{Delivery, INJECTED_HEADERS};
 use crate::ObfusMemError;
 
 /// Counter-cache hit latency: 5 cycles at 2 GHz (Table 2).
@@ -660,14 +661,13 @@ impl ObfusMemBackend {
         delivery: Delivery<'_>,
     ) -> (usize, DeliveryOutcome) {
         let Some(link) = self.link.as_mut() else {
-            let pair = obfuscate_for(&mut self.proc, at, home, delivery).expect("valid channel");
-            let (decoded, companion) = receive_for(
-                &mut self.mem_engines[home],
-                delivery,
-                &pair.real,
-                &pair.dummy,
-            )
-            .expect("engines synchronized");
+            let pair = self
+                .proc
+                .obfuscate(at, home, delivery)
+                .expect("valid channel");
+            let (decoded, companion) = self.mem_engines[home]
+                .receive(0, &[&pair.real, &pair.dummy][..delivery.packets()])
+                .expect("engines synchronized");
             let out = DeliveryOutcome {
                 pair,
                 decoded,

@@ -12,11 +12,11 @@
 //! | Paper section | Module |
 //! |---|---|
 //! | §3.1 trust architecture (key burning, integrators, attestation, DH) | [`trust`], [`session`] |
-//! | §3.2 access-pattern encryption (counter mode, Figure 3) | [`engine`], [`busmsg`] |
+//! | §3.2 access-pattern encryption (counter mode, Figure 3) | [`engine`], [`memside`], [`window`], [`busmsg`] |
 //! | §3.2 memory encryption it builds on (counter-mode data at rest) | [`memenc`], [`counters`] |
-//! | §3.3 request-type obfuscation (dummy read/write pairing) | [`engine`], [`config::DummyAddressPolicy`] |
+//! | §3.3 request-type obfuscation (dummy pairing, substitution, uniform packets) | [`window`], [`config::DummyAddressPolicy`], [`config::TypeHiding`] |
 //! | §3.4 inter-channel obfuscation (UNOPT/OPT injection) | [`channels`] |
-//! | §3.5 communication authentication (encrypt-and-MAC vs encrypt-then-MAC) | [`engine`], [`memside`], [`config::MacScheme`] |
+//! | §3.5 communication authentication (encrypt-and-MAC vs encrypt-then-MAC) | [`window`], [`config::MacScheme`] |
 //! | link fault injection + bounded-retry recovery (robustness extension) | [`link`], [`config::FaultPlan`] |
 //! | Merkle-tree memory integrity | assumed by the paper; not modelled here |
 //! | full-system performance model (gem5 replacement) | [`backend`], [`system`] |
@@ -50,6 +50,7 @@ pub mod session;
 pub mod system;
 pub mod tap;
 pub mod trust;
+pub mod window;
 
 mod error;
 

@@ -55,10 +55,11 @@ use obfusmem_sim::rng::SplitMix64;
 use obfusmem_sim::stats::{Counter, Histogram};
 use obfusmem_sim::time::{Duration, Time};
 
-use crate::busmsg::{BusPacket, RequestHeader};
+use crate::busmsg::BusPacket;
 use crate::config::{FaultPlan, LinkConfig};
 use crate::engine::{ObfuscatedPair, ProcessorEngine};
 use crate::memside::{DecodedRequest, MemoryEngine};
+use crate::window::Delivery;
 use crate::ObfusMemError;
 
 /// The fault processes the link can inject (one axis per
@@ -107,38 +108,6 @@ impl FaultKind {
     pub fn parse(s: &str) -> Option<FaultKind> {
         ALL_FAULT_KINDS.into_iter().find(|k| k.name() == s)
     }
-}
-
-/// One request crossing the link, before obfuscation.
-///
-/// The link re-obfuscates from this plaintext view after a session
-/// re-key (the old ciphertext is useless under the new key), so it
-/// takes the request rather than a pre-built pair.
-#[derive(Clone, Copy)]
-pub enum Delivery<'a> {
-    /// A paired real/dummy delivery (§3.3 baseline).
-    Pair {
-        /// The real request.
-        header: RequestHeader,
-        /// Write payload (reads carry none).
-        data: Option<&'a BlockData>,
-    },
-    /// A read whose dummy slot carries a substituted pending write.
-    Substituted {
-        /// The primary read.
-        read: RequestHeader,
-        /// The substituted write riding in the dummy slot.
-        write: RequestHeader,
-        /// The write's payload.
-        data: &'a BlockData,
-    },
-    /// A uniform-size single packet (type-hiding mode).
-    Uniform {
-        /// The request.
-        header: RequestHeader,
-        /// Write payload (reads carry none).
-        data: Option<&'a BlockData>,
-    },
 }
 
 /// What a completed delivery hands back to the backend.
@@ -577,7 +546,7 @@ impl FaultyLink {
             return Err(ObfusMemError::ChannelQuarantined { channel });
         }
 
-        let mut pair = obfuscate_for(proc, now, channel, delivery)?;
+        let mut pair = proc.obfuscate(now, channel, delivery)?;
         let mut frame = Frame::new([pair.real.clone(), pair.dummy.clone()]);
         let seq = self.channels[channel].next_seq;
         let mut attempt: u32 = 0;
@@ -616,7 +585,7 @@ impl FaultyLink {
                         continue;
                     }
                     let [real, dummy] = &got.packets;
-                    match receive_for(mem, delivery, real, dummy) {
+                    match mem.receive(0, &[real, dummy][..delivery.packets()]) {
                         Ok(out) => {
                             self.channels[channel].expected_seq = fseq + 1;
                             decoded = Some(out);
@@ -681,7 +650,7 @@ impl FaultyLink {
                     }
                     proc.rekey_channel(channel, epoch)?;
                     mem.rekey(0, epoch)?;
-                    pair = obfuscate_for(proc, now, channel, delivery)?;
+                    pair = proc.obfuscate(now, channel, delivery)?;
                     frame = Frame::new([pair.real.clone(), pair.dummy.clone()]);
                     let resume = t + self.cfg.rekey_latency;
                     self.retransmit(&mut q, resume, channel, seq, &frame, &mut attempt);
@@ -745,7 +714,8 @@ impl FaultyLink {
         let tag = proc.resync_tag(channel, seq, target)?;
         mem.apply_resync(0, seq, target, &tag)
             .expect("self-generated resync tag always verifies");
-        let out = receive_for(mem, delivery, &pair.real, &pair.dummy)
+        let out = mem
+            .receive(0, &[&pair.real, &pair.dummy][..delivery.packets()])
             .expect("pristine frame decodes after a link reset");
         self.channels[channel].expected_seq = seq + 1;
         Ok((t + self.cfg.frame_latency, out))
@@ -850,37 +820,6 @@ impl Observable for FaultyLink {
             }
             node.set_counter("quarantined", st.quarantined as u64);
         }
-    }
-}
-
-/// Obfuscates `delivery` on the processor engine (used both for the
-/// initial transmission and for the re-obfuscation after a re-key).
-pub(crate) fn obfuscate_for(
-    proc: &mut ProcessorEngine,
-    now: Time,
-    channel: usize,
-    delivery: Delivery<'_>,
-) -> Result<ObfuscatedPair, ObfusMemError> {
-    match delivery {
-        Delivery::Pair { header, data } => proc.obfuscate(now, channel, header, data),
-        Delivery::Substituted { read, write, data } => {
-            proc.obfuscate_substituted(now, channel, read, write, data)
-        }
-        Delivery::Uniform { header, data } => proc.obfuscate_uniform(now, channel, header, data),
-    }
-}
-
-/// Decodes an arrived frame on lane 0 of the memory engine, the one
-/// session the backend wires per channel, per delivery mode.
-pub(crate) fn receive_for(
-    mem: &mut MemoryEngine,
-    delivery: Delivery<'_>,
-    real: &BusPacket,
-    dummy: &BusPacket,
-) -> Result<(DecodedRequest, Option<DecodedRequest>), ObfusMemError> {
-    match delivery {
-        Delivery::Uniform { .. } => mem.receive_uniform(0, real).map(|d| (d, None)),
-        _ => mem.receive_pair(0, real, dummy),
     }
 }
 

@@ -1,21 +1,21 @@
 //! The memory-side ObfusMem engine (paper Figure 3, steps 5a–5d).
 //!
 //! Lives in the logic layer of the 3D-stacked memory (inside the trust
-//! boundary). Per received packet pair it: decrypts the headers with its
-//! own synchronized counter stream, verifies MAC tags (detecting
+//! boundary). Per received request it opens the pad window
+//! ([`crate::window`] gives each shape's slots) with its own synchronized
+//! counter stream: it decrypts the headers, verifies MAC tags (detecting
 //! modification, drop, replay, and injection — §3.5's tampering
 //! scenarios), **drops** dummy requests addressed to the fixed dummy
 //! block before they reach the PCM array (saving write energy and wear,
 //! Observation 2), and encrypts read replies with the reserved data pads.
 
 use obfusmem_crypto::ctr::PADS_PER_REQUEST;
-use obfusmem_crypto::mac::{tags_equal, Tag};
 use obfusmem_mem::request::BlockData;
 
 use crate::busmsg::{BusPacket, RequestHeader};
-use crate::config::{AddressCipherMode, MacScheme, ObfusMemConfig};
-use crate::engine::FIXED_DUMMY_ADDR;
+use crate::config::ObfusMemConfig;
 use crate::session::ChannelSession;
+use crate::window;
 use crate::ObfusMemError;
 
 /// A packet after memory-side decryption and verification.
@@ -25,7 +25,8 @@ pub struct DecodedRequest {
     pub header: RequestHeader,
     /// Decrypted (memory-encrypted-at-rest) data for writes.
     pub data: Option<BlockData>,
-    /// True when this was recognized as a droppable dummy.
+    /// True when the request's companion was a fixed-address dummy,
+    /// dropped before the array.
     pub dropped_dummy: bool,
     /// First pad counter of the packet pair (reply pads = base+2..=5).
     pub base_counter: u64,
@@ -151,12 +152,12 @@ impl MemoryEngine {
         Ok(())
     }
 
-    /// Processes a primary/companion packet pair arriving from the bus
-    /// on `lane`.
+    /// Opens one request's packets arriving from the bus on `lane`: two
+    /// for a split pair, one for a uniform packet.
     ///
     /// Returns the decoded *primary* request plus the companion's
-    /// disposition: `None` when the companion was a fixed-address dummy
-    /// (dropped before the array — Observation 2), or a full
+    /// disposition: `None` when there is none or it was a fixed-address
+    /// dummy (dropped before the array — Observation 2), or a full
     /// [`DecodedRequest`] when it must be serviced — an
     /// original/random-policy dummy, or a *substituted real request*
     /// (the §3.3 optimization where a pending real write rides in the
@@ -167,73 +168,32 @@ impl MemoryEngine {
     /// * [`ObfusMemError::TamperDetected`] when a MAC fails — modified,
     ///   replayed, injected, or reordered traffic, or counter desync from
     ///   a dropped message.
+    /// * [`ObfusMemError::MalformedPacket`] for a header that does not
+    ///   parse or a missing tag; these, like a MAC failure, count as
+    ///   detected tampering.
     /// * [`ObfusMemError::NoSuchChannel`] for a lane out of range.
-    pub fn receive_pair(
+    pub fn receive(
         &mut self,
         lane: usize,
-        real: &BusPacket,
-        dummy: &BusPacket,
+        packets: &[&BusPacket],
     ) -> Result<(DecodedRequest, Option<DecodedRequest>), ObfusMemError> {
         self.check_lane(lane)?;
-        let base_counter = self.sessions[lane].stream().counter();
-
-        // Decrypt headers (pads base, base+1 — mirroring the processor).
-        // Both header pads are consumed *before* either parse result is
-        // inspected, so every failure mode — malformed header or MAC
-        // mismatch — leaves the counter uniformly at base+2, the state
-        // the link layer's resync handshake repairs.
-        let real_parse = self.decrypt_header(lane, &real.header_ct);
-        let companion_parse = self.decrypt_header(lane, &dummy.header_ct);
-        let real_header = self.note_malformed(real_parse)?;
-        let companion_header = self.note_malformed(companion_parse)?;
-
-        // Verify MACs before acting on anything (§3.5).
-        if self.cfg.security.authenticates() {
-            self.verify_tags(
-                lane,
-                [(real, &real_header), (dummy, &companion_header)],
-                base_counter,
-            )?;
-        }
-
-        // Pads base+2..=5 decrypt the pair's (at most one) meaningful
-        // payload: the primary's write data, or a substituted companion
-        // write's data. A fixed-address dummy write carries random bytes
-        // that need no decryption; the counter still advances past the
-        // slots so both ends stay in step (skipped, not generated).
-        let companion_is_dummy = companion_header.addr == FIXED_DUMMY_ADDR;
-        let mut data = None;
-        let mut companion_data = None;
-        match (&real.data_ct, &dummy.data_ct) {
-            (Some(ct), _) => data = Some(self.decrypt_data(lane, ct)),
-            (None, Some(ct)) if !companion_is_dummy => {
-                companion_data = Some(self.decrypt_data(lane, ct));
+        let (cfg, session) = (&self.cfg, &mut self.sessions[lane]);
+        let opened = match *packets {
+            [primary] => window::open(cfg, session, [primary]),
+            [primary, companion] => window::open(cfg, session, [primary, companion]),
+            _ => {
+                return Err(ObfusMemError::MalformedPacket(format!(
+                    "a request is one or two packets, not {}",
+                    packets.len()
+                )))
             }
-            _ => self.sessions[lane].stream_mut().skip_pads(4),
-        }
-
-        // Companion disposition (§3.3).
-        let companion = if companion_is_dummy {
-            self.dummies_dropped += 1;
-            None
-        } else {
-            Some(DecodedRequest {
-                header: companion_header,
-                data: companion_data,
-                dropped_dummy: false,
-                base_counter,
-            })
         };
-
-        Ok((
-            DecodedRequest {
-                header: real_header,
-                data,
-                dropped_dummy: companion.is_none(),
-                base_counter,
-            },
-            companion,
-        ))
+        match &opened {
+            Ok((primary, _)) => self.dummies_dropped += u64::from(primary.dropped_dummy),
+            Err(_) => self.tampers_detected += 1,
+        }
+        opened
     }
 
     /// Accounts one injected cross-channel dummy pair (§3.4) on lane 0.
@@ -245,144 +205,6 @@ impl MemoryEngine {
     pub(crate) fn drop_injected(&mut self) {
         self.sessions[0].stream_mut().skip_pads(PADS_PER_REQUEST);
         self.dummies_dropped += 1;
-    }
-
-    /// Processes a single uniform-scheme packet (§3.3's alternative): the
-    /// header decrypts with the first pad, the always-present payload with
-    /// the data pads; a read's payload is random filler and is discarded.
-    ///
-    /// # Errors
-    ///
-    /// * [`ObfusMemError::TamperDetected`] / [`ObfusMemError::MalformedPacket`]
-    ///   / [`ObfusMemError::NoSuchChannel`] as for
-    ///   [`MemoryEngine::receive_pair`].
-    pub fn receive_uniform(
-        &mut self,
-        lane: usize,
-        packet: &BusPacket,
-    ) -> Result<DecodedRequest, ObfusMemError> {
-        self.check_lane(lane)?;
-        let base_counter = self.sessions[lane].stream().counter();
-        let parse = self.decrypt_header(lane, &packet.header_ct);
-        self.sessions[lane].stream_mut().skip_pads(1); // parity with the split scheme
-        let header = self.note_malformed(parse)?;
-
-        if self.cfg.security.authenticates() {
-            self.verify_tags(lane, [(packet, &header)], base_counter)?;
-        }
-
-        let payload = match &packet.data_ct {
-            Some(ct) => Some(self.decrypt_data(lane, ct)),
-            None => {
-                self.sessions[lane].stream_mut().skip_pads(4);
-                None
-            }
-        };
-        let data = match header.kind {
-            obfusmem_mem::request::AccessKind::Write => payload,
-            obfusmem_mem::request::AccessKind::Read => None, // filler discarded
-        };
-        Ok(DecodedRequest {
-            header,
-            data,
-            dropped_dummy: false,
-            base_counter,
-        })
-    }
-
-    fn decrypt_data(&mut self, lane: usize, ct: &BlockData) -> BlockData {
-        let mut out = *ct;
-        let pads = self.sessions[lane].stream_mut().next_pads::<4>();
-        for (chunk, pad) in out.chunks_mut(16).zip(pads.iter()) {
-            for (d, p) in chunk.iter_mut().zip(pad.iter()) {
-                *d ^= p;
-            }
-        }
-        out
-    }
-
-    fn decrypt_header(
-        &mut self,
-        lane: usize,
-        header_ct: &[u8; 16],
-    ) -> Result<RequestHeader, ObfusMemError> {
-        match self.cfg.address_mode {
-            AddressCipherMode::Ctr => {
-                let pad = self.sessions[lane].stream_mut().next_pad();
-                let mut pt = *header_ct;
-                for (d, p) in pt.iter_mut().zip(pad.iter()) {
-                    *d ^= p;
-                }
-                RequestHeader::from_bytes(&pt)
-            }
-            AddressCipherMode::Ecb => {
-                self.sessions[lane].stream_mut().skip_pads(1); // keep counters in step
-                RequestHeader::from_bytes(&self.sessions[lane].ecb_decrypt(header_ct))
-            }
-        }
-    }
-
-    /// Counts a malformed-header parse as a detected tamper event.
-    fn note_malformed(
-        &mut self,
-        parsed: Result<RequestHeader, ObfusMemError>,
-    ) -> Result<RequestHeader, ObfusMemError> {
-        if parsed.is_err() {
-            self.tampers_detected += 1;
-        }
-        parsed
-    }
-
-    /// Verifies the tags of `N` packets holding consecutive counters from
-    /// `base_counter`, in packet order: the first failure is counted and
-    /// returned, and the packets after it go unchecked. Under
-    /// encrypt-and-MAC all `N` expected tags are computed up front in one
-    /// multi-lane pass.
-    fn verify_tags<const N: usize>(
-        &mut self,
-        lane: usize,
-        packets: [(&BusPacket, &RequestHeader); N],
-        base_counter: u64,
-    ) -> Result<(), ObfusMemError> {
-        let mac = self.sessions[lane].mac();
-        let expected: Option<[Tag; N]> = match self.cfg.mac_scheme {
-            // β = H(r ‖ a ‖ c) with the memory's own counter: detects
-            // modification (r'/a'), drops/replays (c mismatch).
-            MacScheme::EncryptAndMac => Some(mac.command_tags(std::array::from_fn(|i| {
-                let header = packets[i].1;
-                (header.kind.encode(), header.addr, base_counter + i as u64)
-            }))),
-            MacScheme::EncryptThenMac => None,
-        };
-        for (i, (packet, header)) in packets.into_iter().enumerate() {
-            let counter = base_counter + i as u64;
-            let Some(tag) = packet.tag else {
-                self.tampers_detected += 1;
-                return Err(ObfusMemError::MalformedPacket(
-                    "authenticated channel requires a tag".into(),
-                ));
-            };
-            let ok = match &expected {
-                Some(expected) => tags_equal(&expected[i], &tag),
-                None => {
-                    let data_slice: &[u8] = packet.data_ct.as_ref().map_or(&[], |d| &d[..]);
-                    self.sessions[lane]
-                        .mac()
-                        .verify(&[&packet.header_ct, data_slice], &tag)
-                }
-            };
-            if !ok {
-                self.tampers_detected += 1;
-                return Err(ObfusMemError::TamperDetected {
-                    detail: format!(
-                        "MAC mismatch at counter {counter} (decrypted {kind} {addr:#x})",
-                        kind = header.kind,
-                        addr = header.addr
-                    ),
-                });
-            }
-        }
-        Ok(())
     }
 
     /// Builds the encrypted read-reply packet for a request decoded on
@@ -442,7 +264,8 @@ pub fn engines_for_test(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ObfusMemConfig;
+    use crate::config::{MacScheme, ObfusMemConfig};
+    use crate::window::Delivery;
     use obfusmem_mem::request::AccessKind;
     use obfusmem_sim::time::Time;
     use obfusmem_testkit as proptest;
@@ -450,6 +273,10 @@ mod tests {
     fn pair() -> (crate::engine::ProcessorEngine, MemoryEngine) {
         let (p, mut ms) = engines_for_test(ObfusMemConfig::paper_default(), 1);
         (p, ms.remove(0))
+    }
+
+    fn paired(header: RequestHeader, data: Option<&BlockData>) -> Delivery<'_> {
+        Delivery::Pair { header, data }
     }
 
     fn read_header(addr: u64) -> RequestHeader {
@@ -463,8 +290,8 @@ mod tests {
     fn read_round_trip() {
         let (mut proc, mut mem) = pair();
         let sent = read_header(0x1_2340);
-        let pkts = proc.obfuscate(Time::ZERO, 0, sent, None).unwrap();
-        let (decoded, dummy) = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap();
+        let pkts = proc.obfuscate(Time::ZERO, 0, paired(sent, None)).unwrap();
+        let (decoded, dummy) = mem.receive(0, &[&pkts.real, &pkts.dummy]).unwrap();
         assert_eq!(decoded.header, sent);
         assert!(decoded.dropped_dummy);
         assert!(dummy.is_none(), "fixed-address dummy must be dropped");
@@ -479,8 +306,8 @@ mod tests {
         assert_eq!(mem.counter(0), proc.counter(0));
         assert_eq!(mem.dummies_dropped(), 1);
         let sent = read_header(0x1_2340);
-        let pkts = proc.obfuscate(Time::ZERO, 0, sent, None).unwrap();
-        let (decoded, _) = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap();
+        let pkts = proc.obfuscate(Time::ZERO, 0, paired(sent, None)).unwrap();
+        let (decoded, _) = mem.receive(0, &[&pkts.real, &pkts.dummy]).unwrap();
         assert_eq!(decoded.header, sent);
     }
 
@@ -492,13 +319,15 @@ mod tests {
             addr: 0x88_0000,
         };
         let payload = [0xC3; 64];
-        let pkts = proc.obfuscate(Time::ZERO, 0, hdr, Some(&payload)).unwrap();
+        let pkts = proc
+            .obfuscate(Time::ZERO, 0, paired(hdr, Some(&payload)))
+            .unwrap();
         assert_ne!(
             pkts.real.data_ct.unwrap(),
             payload,
             "data must be re-encrypted on the bus"
         );
-        let (decoded, _) = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap();
+        let (decoded, _) = mem.receive(0, &[&pkts.real, &pkts.dummy]).unwrap();
         assert_eq!(decoded.data, Some(payload));
     }
 
@@ -506,9 +335,9 @@ mod tests {
     fn reply_round_trip() {
         let (mut proc, mut mem) = pair();
         let pkts = proc
-            .obfuscate(Time::ZERO, 0, read_header(0x40), None)
+            .obfuscate(Time::ZERO, 0, paired(read_header(0x40), None))
             .unwrap();
-        let (decoded, _) = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap();
+        let (decoded, _) = mem.receive(0, &[&pkts.real, &pkts.dummy]).unwrap();
         let stored = [0x11; 64];
         let reply = mem.encrypt_reply(0, decoded.base_counter, &stored).unwrap();
         assert_ne!(reply.data_ct.unwrap(), stored);
@@ -531,8 +360,10 @@ mod tests {
                 read_header(i * 64)
             };
             let data = (hdr.kind == AccessKind::Write).then_some([i as u8; 64]);
-            let pkts = proc.obfuscate(Time::ZERO, 0, hdr, data.as_ref()).unwrap();
-            let (decoded, _) = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap();
+            let pkts = proc
+                .obfuscate(Time::ZERO, 0, paired(hdr, data.as_ref()))
+                .unwrap();
+            let (decoded, _) = mem.receive(0, &[&pkts.real, &pkts.dummy]).unwrap();
             assert_eq!(decoded.header, hdr, "desync at request {i}");
             assert_eq!(decoded.data, data);
         }
@@ -542,10 +373,10 @@ mod tests {
     fn modified_address_detected() {
         let (mut proc, mut mem) = pair();
         let mut pkts = proc
-            .obfuscate(Time::ZERO, 0, read_header(0x40), None)
+            .obfuscate(Time::ZERO, 0, paired(read_header(0x40), None))
             .unwrap();
         pkts.real.header_ct[3] ^= 0x10; // flip an address bit in flight
-        let err = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap_err();
+        let err = mem.receive(0, &[&pkts.real, &pkts.dummy]).unwrap_err();
         assert!(
             matches!(err, ObfusMemError::TamperDetected { .. }),
             "got {err}"
@@ -557,10 +388,10 @@ mod tests {
     fn modified_type_detected() {
         let (mut proc, mut mem) = pair();
         let mut pkts = proc
-            .obfuscate(Time::ZERO, 0, read_header(0x40), None)
+            .obfuscate(Time::ZERO, 0, paired(read_header(0x40), None))
             .unwrap();
         pkts.real.header_ct[0] ^= 0x01; // flip the request-type bit
-        assert!(mem.receive_pair(0, &pkts.real, &pkts.dummy).is_err());
+        assert!(mem.receive(0, &[&pkts.real, &pkts.dummy]).is_err());
     }
 
     /// Both tags of a pair are checked in one pass, but the real
@@ -569,12 +400,12 @@ mod tests {
     fn both_tags_corrupted_names_the_real_counter_once() {
         let (mut proc, mut mem) = pair();
         let mut pkts = proc
-            .obfuscate(Time::ZERO, 0, read_header(0x40), None)
+            .obfuscate(Time::ZERO, 0, paired(read_header(0x40), None))
             .unwrap();
         for tag in [&mut pkts.real.tag, &mut pkts.dummy.tag] {
             tag.as_mut().unwrap()[0] ^= 1;
         }
-        let err = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap_err();
+        let err = mem.receive(0, &[&pkts.real, &pkts.dummy]).unwrap_err();
         let base = pkts.base_counter;
         assert!(
             matches!(&err, ObfusMemError::TamperDetected { detail }
@@ -588,10 +419,10 @@ mod tests {
     fn corrupted_dummy_tag_names_the_dummy_counter() {
         let (mut proc, mut mem) = pair();
         let mut pkts = proc
-            .obfuscate(Time::ZERO, 0, read_header(0x40), None)
+            .obfuscate(Time::ZERO, 0, paired(read_header(0x40), None))
             .unwrap();
         pkts.dummy.tag.as_mut().unwrap()[7] ^= 0x80;
-        let err = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap_err();
+        let err = mem.receive(0, &[&pkts.real, &pkts.dummy]).unwrap_err();
         let dummy_counter = pkts.base_counter + 1;
         assert!(
             matches!(&err, ObfusMemError::TamperDetected { detail }
@@ -605,10 +436,10 @@ mod tests {
     fn missing_dummy_tag_behind_a_valid_real_tag_is_malformed() {
         let (mut proc, mut mem) = pair();
         let mut pkts = proc
-            .obfuscate(Time::ZERO, 0, read_header(0x40), None)
+            .obfuscate(Time::ZERO, 0, paired(read_header(0x40), None))
             .unwrap();
         pkts.dummy.tag = None;
-        let err = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap_err();
+        let err = mem.receive(0, &[&pkts.real, &pkts.dummy]).unwrap_err();
         assert!(
             matches!(err, ObfusMemError::MalformedPacket(_)),
             "got {err}"
@@ -620,26 +451,26 @@ mod tests {
     fn dropped_message_detected_via_counter() {
         let (mut proc, mut mem) = pair();
         let first = proc
-            .obfuscate(Time::ZERO, 0, read_header(0x40), None)
+            .obfuscate(Time::ZERO, 0, paired(read_header(0x40), None))
             .unwrap();
         let second = proc
-            .obfuscate(Time::ZERO, 0, read_header(0x80), None)
+            .obfuscate(Time::ZERO, 0, paired(read_header(0x80), None))
             .unwrap();
         // Attacker drops `first`; memory sees `second` with a stale
         // counter and the MAC (bound to the counter) fails.
         let _ = first;
-        assert!(mem.receive_pair(0, &second.real, &second.dummy).is_err());
+        assert!(mem.receive(0, &[&second.real, &second.dummy]).is_err());
     }
 
     #[test]
     fn replayed_message_detected() {
         let (mut proc, mut mem) = pair();
         let pkts = proc
-            .obfuscate(Time::ZERO, 0, read_header(0x40), None)
+            .obfuscate(Time::ZERO, 0, paired(read_header(0x40), None))
             .unwrap();
-        mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap();
+        mem.receive(0, &[&pkts.real, &pkts.dummy]).unwrap();
         // Replay the same packets: memory's counter moved on.
-        assert!(mem.receive_pair(0, &pkts.real, &pkts.dummy).is_err());
+        assert!(mem.receive(0, &[&pkts.real, &pkts.dummy]).is_err());
     }
 
     #[test]
@@ -650,17 +481,17 @@ mod tests {
             data_ct: None,
             tag: Some([0; 8]),
         };
-        assert!(mem.receive_pair(0, &forged, &forged.clone()).is_err());
+        assert!(mem.receive(0, &[&forged, &forged]).is_err());
     }
 
     #[test]
     fn missing_tag_rejected_on_authenticated_channel() {
         let (mut proc, mut mem) = pair();
         let mut pkts = proc
-            .obfuscate(Time::ZERO, 0, read_header(0x40), None)
+            .obfuscate(Time::ZERO, 0, paired(read_header(0x40), None))
             .unwrap();
         pkts.real.tag = None;
-        let err = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap_err();
+        let err = mem.receive(0, &[&pkts.real, &pkts.dummy]).unwrap_err();
         assert!(matches!(err, ObfusMemError::MalformedPacket(_)));
     }
 
@@ -676,10 +507,10 @@ mod tests {
         let (mut proc, mut ms) = engines_for_test(cfg, 1);
         let mut mem = ms.remove(0);
         let mut pkts = proc
-            .obfuscate(Time::ZERO, 0, read_header(0x40), None)
+            .obfuscate(Time::ZERO, 0, paired(read_header(0x40), None))
             .unwrap();
         pkts.real.header_ct[5] ^= 0xFF;
-        let (decoded, _) = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap();
+        let (decoded, _) = mem.receive(0, &[&pkts.real, &pkts.dummy]).unwrap();
         assert_ne!(
             decoded.header.addr, 0x40,
             "tampering silently garbles the address"
@@ -695,9 +526,9 @@ mod tests {
         let (mut proc, mut ms) = engines_for_test(cfg, 1);
         let mut mem = ms.remove(0);
         let pkts = proc
-            .obfuscate(Time::ZERO, 0, read_header(0x1000), None)
+            .obfuscate(Time::ZERO, 0, paired(read_header(0x1000), None))
             .unwrap();
-        let (decoded, dummy) = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap();
+        let (decoded, dummy) = mem.receive(0, &[&pkts.real, &pkts.dummy]).unwrap();
         assert!(!decoded.dropped_dummy);
         let dummy = dummy.expect("original-address dummy reaches the array");
         assert_eq!(dummy.header.addr, 0x1000);
@@ -716,8 +547,8 @@ mod tests {
                 kind: AccessKind::Read,
                 addr: (i as u64) * 64,
             };
-            let pkts = proc.obfuscate(Time::ZERO, ch, hdr, None).unwrap();
-            let (decoded, _) = mems[ch].receive_pair(0, &pkts.real, &pkts.dummy).unwrap();
+            let pkts = proc.obfuscate(Time::ZERO, ch, paired(hdr, None)).unwrap();
+            let (decoded, _) = mems[ch].receive(0, &[&pkts.real, &pkts.dummy]).unwrap();
             assert_eq!(decoded.header, hdr, "channel {ch} desynced at step {i}");
         }
     }
@@ -739,18 +570,18 @@ mod tests {
         for i in 0..8u64 {
             let l = (i % 2) as usize;
             let hdr = read_header(i * 64);
-            let pkts = proc.obfuscate(Time::ZERO, l, hdr, None).unwrap();
-            let (decoded, _) = mem.receive_pair(l, &pkts.real, &pkts.dummy).unwrap();
+            let pkts = proc.obfuscate(Time::ZERO, l, paired(hdr, None)).unwrap();
+            let (decoded, _) = mem.receive(l, &[&pkts.real, &pkts.dummy]).unwrap();
             assert_eq!(decoded.header, hdr, "lane {l} desynced at step {i}");
         }
         // Lane-0 traffic replayed onto lane 1 must fail authentication.
         let pkts = proc
-            .obfuscate(Time::ZERO, 0, read_header(0x40), None)
+            .obfuscate(Time::ZERO, 0, paired(read_header(0x40), None))
             .unwrap();
-        assert!(mem.receive_pair(1, &pkts.real, &pkts.dummy).is_err());
+        assert!(mem.receive(1, &[&pkts.real, &pkts.dummy]).is_err());
         // Out-of-range lanes get a typed error, not a panic.
         assert!(matches!(
-            mem.receive_pair(9, &pkts.real, &pkts.dummy),
+            mem.receive(9, &[&pkts.real, &pkts.dummy]),
             Err(ObfusMemError::NoSuchChannel {
                 channel: 9,
                 channels: 2
@@ -766,12 +597,12 @@ mod tests {
         // stored data (the counter discipline is load-bearing).
         let (mut proc, mut mem) = pair();
         let a = proc
-            .obfuscate(Time::ZERO, 0, read_header(0x40), None)
+            .obfuscate(Time::ZERO, 0, paired(read_header(0x40), None))
             .unwrap();
         let b = proc
-            .obfuscate(Time::ZERO, 0, read_header(0x80), None)
+            .obfuscate(Time::ZERO, 0, paired(read_header(0x80), None))
             .unwrap();
-        let (decoded_a, _) = mem.receive_pair(0, &a.real, &a.dummy).unwrap();
+        let (decoded_a, _) = mem.receive(0, &[&a.real, &a.dummy]).unwrap();
         let stored = [0x5A; 64];
         let reply = mem
             .encrypt_reply(0, decoded_a.base_counter, &stored)
@@ -802,8 +633,8 @@ mod tests {
                     addr,
                 };
                 let data = is_write.then_some([byte; 64]);
-                let pkts = proc.obfuscate(Time::ZERO, 0, hdr, data.as_ref()).unwrap();
-                let (decoded, companion) = mem.receive_pair(0, &pkts.real, &pkts.dummy).unwrap();
+                let pkts = proc.obfuscate(Time::ZERO, 0, paired(hdr, data.as_ref())).unwrap();
+                let (decoded, companion) = mem.receive(0, &[&pkts.real, &pkts.dummy]).unwrap();
                 proptest::prop_assert_eq!(decoded.header, hdr);
                 proptest::prop_assert_eq!(decoded.data, data);
                 proptest::prop_assert!(companion.is_none(), "fixed dummies always drop");
@@ -823,9 +654,9 @@ mod tests {
                     addr,
                 };
                 let data = is_write.then_some([byte; 64]);
-                let pkt = proc.obfuscate_uniform(Time::ZERO, 0, hdr, data.as_ref()).unwrap();
+                let pkt = proc.obfuscate(Time::ZERO, 0, Delivery::Uniform { header: hdr, data: data.as_ref() }).unwrap();
                 proptest::prop_assert!(pkt.real.data_ct.is_some(), "uniform packets always carry data");
-                let decoded = mem.receive_uniform(0, &pkt.real).unwrap();
+                let (decoded, _) = mem.receive(0, &[&pkt.real]).unwrap();
                 proptest::prop_assert_eq!(decoded.header, hdr);
                 proptest::prop_assert_eq!(decoded.data, data);
             }
@@ -841,14 +672,14 @@ mod tests {
         let (mut proc, mut ms) = engines_for_test(cfg, 1);
         let mut mem = ms.remove(0);
         let good = proc
-            .obfuscate(Time::ZERO, 0, read_header(0x40), None)
+            .obfuscate(Time::ZERO, 0, paired(read_header(0x40), None))
             .unwrap();
-        let (decoded, _) = mem.receive_pair(0, &good.real, &good.dummy).unwrap();
+        let (decoded, _) = mem.receive(0, &[&good.real, &good.dummy]).unwrap();
         assert_eq!(decoded.header.addr, 0x40);
         let mut bad = proc
-            .obfuscate(Time::ZERO, 0, read_header(0x80), None)
+            .obfuscate(Time::ZERO, 0, paired(read_header(0x80), None))
             .unwrap();
         bad.real.header_ct[1] ^= 1;
-        assert!(mem.receive_pair(0, &bad.real, &bad.dummy).is_err());
+        assert!(mem.receive(0, &[&bad.real, &bad.dummy]).is_err());
     }
 }

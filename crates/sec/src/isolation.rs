@@ -28,6 +28,7 @@ use obfusmem_core::config::ObfusMemConfig;
 use obfusmem_core::engine::ProcessorEngine;
 use obfusmem_core::memside::MemoryEngine;
 use obfusmem_core::session::{ChannelSession, SessionKeyTable};
+use obfusmem_core::window::Delivery;
 use obfusmem_cpu::stream::MissStream;
 use obfusmem_cpu::workload::WorkloadSpec;
 use obfusmem_mem::config::MemConfig;
@@ -108,8 +109,8 @@ pub fn legacy_single_session_trace(cfg: &FabricConfig) -> Result<Vec<u64>, Fabri
             kind: AccessKind::Read,
             addr: ev.fill.as_u64(),
         };
-        let pair = proc.obfuscate(now, 0, header, None)?;
-        let (decoded, _) = mem.receive_pair(0, &pair.real, &pair.dummy)?;
+        let pair = proc.obfuscate(now, 0, Delivery::Pair { header, data: None })?;
+        let (decoded, _) = mem.receive(0, &[&pair.real, &pair.dummy])?;
         let id = sched.enqueue(now, ev.fill.as_u64(), AccessKind::Read);
         sched.run_until_completed(id);
         let mut done = now;
@@ -143,8 +144,15 @@ pub fn legacy_single_session_trace(cfg: &FabricConfig) -> Result<Vec<u64>, Fabri
                 kind: AccessKind::Write,
                 addr: wb.as_u64(),
             };
-            let wb_pair = proc.obfuscate(reply_ready, 0, wb_header, Some(&block))?;
-            mem.receive_pair(0, &wb_pair.real, &wb_pair.dummy)?;
+            let wb_pair = proc.obfuscate(
+                reply_ready,
+                0,
+                Delivery::Pair {
+                    header: wb_header,
+                    data: Some(&block),
+                },
+            )?;
+            mem.receive(0, &[&wb_pair.real, &wb_pair.dummy])?;
             sched.enqueue(reply_ready, wb.as_u64(), AccessKind::Write);
         }
 

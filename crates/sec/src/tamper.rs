@@ -11,8 +11,9 @@
 use obfusmem_core::busmsg::{BusPacket, RequestHeader};
 use obfusmem_core::config::{FaultPlan, ObfusMemConfig};
 use obfusmem_core::engine::ProcessorEngine;
-use obfusmem_core::link::{Delivery, FaultKind, FaultyLink, ALL_FAULT_KINDS};
+use obfusmem_core::link::{FaultKind, FaultyLink, ALL_FAULT_KINDS};
 use obfusmem_core::memside::{engines_for_test, MemoryEngine};
+use obfusmem_core::window::Delivery;
 use obfusmem_mem::request::AccessKind;
 use obfusmem_sim::rng::SplitMix64;
 use obfusmem_sim::time::Time;
@@ -87,7 +88,14 @@ fn make_request(
     };
     let data = write.then_some([i as u8; 64]);
     let pair = proc
-        .obfuscate(Time::ZERO, 0, header, data.as_ref())
+        .obfuscate(
+            Time::ZERO,
+            0,
+            Delivery::Pair {
+                header,
+                data: data.as_ref(),
+            },
+        )
         .expect("channel 0 exists");
     (pair.real, pair.dummy)
 }
@@ -107,7 +115,7 @@ pub fn run_campaign(cfg: ObfusMemConfig, kind: TamperKind, attempts: u64) -> Cam
         // Honest warm-up traffic.
         for i in 0..3 {
             let (real, dummy) = make_request(&mut proc, &mut rng, i);
-            mem.receive_pair(0, &real, &dummy)
+            mem.receive(0, &[&real, &dummy])
                 .expect("honest traffic passes");
         }
 
@@ -125,7 +133,7 @@ pub fn run_campaign(cfg: ObfusMemConfig, kind: TamperKind, attempts: u64) -> Cam
                     8 + rng.below(64) as usize
                 };
                 real.header_ct[bit / 8] ^= 1 << (bit % 8);
-                mem.receive_pair(0, &real, &dummy).is_err()
+                mem.receive(0, &[&real, &dummy]).is_err()
             }
             TamperKind::FlipDataBit => {
                 // Force a write so there is data to corrupt.
@@ -134,14 +142,21 @@ pub fn run_campaign(cfg: ObfusMemConfig, kind: TamperKind, attempts: u64) -> Cam
                     addr: 0x4000,
                 };
                 let pair = proc
-                    .obfuscate(Time::ZERO, 0, header, Some(&[9; 64]))
+                    .obfuscate(
+                        Time::ZERO,
+                        0,
+                        Delivery::Pair {
+                            header,
+                            data: Some(&[9; 64]),
+                        },
+                    )
                     .expect("channel 0 exists");
                 let mut real = pair.real;
                 let bit = rng.below(512) as usize;
                 if let Some(data) = &mut real.data_ct {
                     data[bit / 8] ^= 1 << (bit % 8);
                 }
-                match mem.receive_pair(0, &real, &pair.dummy) {
+                match mem.receive(0, &[&real, &pair.dummy]) {
                     Err(_) => true,
                     Ok((decoded, _)) => {
                         // Encrypt-and-MAC does not cover data directly
@@ -157,13 +172,13 @@ pub fn run_campaign(cfg: ObfusMemConfig, kind: TamperKind, attempts: u64) -> Cam
             TamperKind::DropMessage => {
                 let _dropped = make_request(&mut proc, &mut rng, 200 + trial);
                 let (real, dummy) = make_request(&mut proc, &mut rng, 300 + trial);
-                mem.receive_pair(0, &real, &dummy).is_err()
+                mem.receive(0, &[&real, &dummy]).is_err()
             }
             TamperKind::Replay => {
                 let (real, dummy) = make_request(&mut proc, &mut rng, 400 + trial);
-                mem.receive_pair(0, &real, &dummy)
+                mem.receive(0, &[&real, &dummy])
                     .expect("first delivery is honest");
-                mem.receive_pair(0, &real, &dummy).is_err()
+                mem.receive(0, &[&real, &dummy]).is_err()
             }
             TamperKind::Inject => {
                 let mut forged = BusPacket {
@@ -174,14 +189,14 @@ pub fn run_campaign(cfg: ObfusMemConfig, kind: TamperKind, attempts: u64) -> Cam
                 for b in forged.header_ct.iter_mut() {
                     *b = rng.next_u64() as u8;
                 }
-                mem.receive_pair(0, &forged, &forged.clone()).is_err()
+                mem.receive(0, &[&forged, &forged]).is_err()
             }
             TamperKind::Reorder => {
                 let first = make_request(&mut proc, &mut rng, 500 + trial);
                 let second = make_request(&mut proc, &mut rng, 600 + trial);
                 // Deliver out of order.
-                let second_err = mem.receive_pair(0, &second.0, &second.1).is_err();
-                let first_err = mem.receive_pair(0, &first.0, &first.1).is_err();
+                let second_err = mem.receive(0, &[&second.0, &second.1]).is_err();
+                let first_err = mem.receive(0, &[&first.0, &first.1]).is_err();
                 second_err || first_err
             }
         };
@@ -368,12 +383,12 @@ mod tests {
             addr: 0x40,
         };
         let pair = proc
-            .obfuscate(Time::ZERO, 0, header, None)
+            .obfuscate(Time::ZERO, 0, Delivery::Pair { header, data: None })
             .expect("channel 0");
         let mut tampered = pair.real.clone();
         tampered.header_ct[12] ^= 0xFF; // padding byte
         let err = mem
-            .receive_pair(0, &tampered, &pair.dummy)
+            .receive(0, &[&tampered, &pair.dummy])
             .expect_err("nonzero padding must be rejected");
         assert!(
             matches!(err, obfusmem_core::ObfusMemError::MalformedPacket(_)),

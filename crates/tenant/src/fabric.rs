@@ -41,6 +41,7 @@ use obfusmem_core::recovery::{
     IntegrityFault, RecoveryArray, RecoveryConfig, RecoveryController, RecoveryError, RecoveryStats,
 };
 use obfusmem_core::session::{ChannelSession, SessionKeyTable};
+use obfusmem_core::window::Delivery;
 use obfusmem_core::ObfusMemError;
 use obfusmem_cpu::stream::{MissEvent, MissStream};
 use obfusmem_cpu::workload::{micro_test_workload, WorkloadSpec};
@@ -744,57 +745,57 @@ impl SessionFabric {
             kind: AccessKind::Read,
             addr: fill_addr,
         };
-        let pair = self.proc.obfuscate(now, t, header, None)?;
-        let reply_ready =
-            match self.mems[channel].receive_pair(state.mem_lane, &pair.real, &pair.dummy) {
-                Ok((decoded, _companion)) => {
-                    debug_assert_eq!(decoded.header.addr, fill_addr);
-                    debug_assert_eq!(decoded.base_counter, pair.base_counter);
-                    let (sch, id) =
-                        self.sched
-                            .enqueue_classed(now, fill_addr, AccessKind::Read, arb);
-                    debug_assert_eq!(sch, channel, "steered address must land on its channel");
-                    self.sched.run_until_completed(sch, id);
-                    let mut done = now;
-                    let span = &mut self.span;
-                    self.sched.drain_completions(|c, comp| {
-                        if c == sch && comp.id == id {
-                            done = comp.at;
-                        }
-                        *span = (*span).max(comp.at);
-                    });
-                    // Reply path: the module returns this tenant's (synthetic)
-                    // stored block under the pair's reserved pads; the
-                    // processor authenticates and decrypts it.
-                    let stored = synthetic_block(&mut state.data_rng);
-                    let reply = self.mems[channel].encrypt_reply(
-                        state.mem_lane,
-                        decoded.base_counter,
-                        &stored,
-                    )?;
-                    let mut authed = self.proc.verify_reply(t, pair.base_counter, &reply).is_ok();
-                    if authed {
-                        match reply.data_ct {
-                            Some(ct) => {
-                                let plaintext =
-                                    self.proc.decrypt_reply(t, pair.base_counter, &ct)?;
-                                authed = plaintext == stored;
-                            }
-                            None => authed = false,
-                        }
+        let pair = self
+            .proc
+            .obfuscate(now, t, Delivery::Pair { header, data: None })?;
+        let reply_ready = match self.mems[channel]
+            .receive(state.mem_lane, &[&pair.real, &pair.dummy])
+        {
+            Ok((decoded, _companion)) => {
+                debug_assert_eq!(decoded.header.addr, fill_addr);
+                debug_assert_eq!(decoded.base_counter, pair.base_counter);
+                let (sch, id) = self
+                    .sched
+                    .enqueue_classed(now, fill_addr, AccessKind::Read, arb);
+                debug_assert_eq!(sch, channel, "steered address must land on its channel");
+                self.sched.run_until_completed(sch, id);
+                let mut done = now;
+                let span = &mut self.span;
+                self.sched.drain_completions(|c, comp| {
+                    if c == sch && comp.id == id {
+                        done = comp.at;
                     }
-                    if !authed {
-                        self.auth_failures += 1;
+                    *span = (*span).max(comp.at);
+                });
+                // Reply path: the module returns this tenant's (synthetic)
+                // stored block under the pair's reserved pads; the
+                // processor authenticates and decrypts it.
+                let stored = synthetic_block(&mut state.data_rng);
+                let reply = self.mems[channel].encrypt_reply(
+                    state.mem_lane,
+                    decoded.base_counter,
+                    &stored,
+                )?;
+                let mut authed = self.proc.verify_reply(t, pair.base_counter, &reply).is_ok();
+                if authed {
+                    match reply.data_ct {
+                        Some(ct) => {
+                            let plaintext = self.proc.decrypt_reply(t, pair.base_counter, &ct)?;
+                            authed = plaintext == stored;
+                        }
+                        None => authed = false,
                     }
-                    done + self.roundtrip_overhead
-                        + Duration::from_ps(pair.pad_stall_ps)
-                        + dev_delay
                 }
-                Err(_) => {
+                if !authed {
                     self.auth_failures += 1;
-                    now
                 }
-            };
+                done + self.roundtrip_overhead + Duration::from_ps(pair.pad_stall_ps) + dev_delay
+            }
+            Err(_) => {
+                self.auth_failures += 1;
+                now
+            }
+        };
 
         let latency = reply_ready.since(now);
         state.trace_ps.push(latency.as_ps());
@@ -814,8 +815,15 @@ impl SessionFabric {
                 kind: AccessKind::Write,
                 addr: wb_addr,
             };
-            let wb_pair = self.proc.obfuscate(state.now, t, wb_header, Some(&block))?;
-            match self.mems[channel].receive_pair(state.mem_lane, &wb_pair.real, &wb_pair.dummy) {
+            let wb_pair = self.proc.obfuscate(
+                state.now,
+                t,
+                Delivery::Pair {
+                    header: wb_header,
+                    data: Some(&block),
+                },
+            )?;
+            match self.mems[channel].receive(state.mem_lane, &[&wb_pair.real, &wb_pair.dummy]) {
                 Ok(_) => {
                     self.sched
                         .enqueue_classed(state.now, wb_addr, AccessKind::Write, arb);
@@ -1272,15 +1280,15 @@ mod tests {
             let header = |t: usize| RequestHeader { kind: AccessKind::Read, addr: (t as u64) << 20 };
             // Every lane still round-trips with itself after the churn...
             for t in 0..tenants {
-                let pair = proc.obfuscate(Time::ZERO, t, header(t), None).expect("obfuscate");
-                let decoded = mem.receive_pair(t, &pair.real, &pair.dummy);
+                let pair = proc.obfuscate(Time::ZERO, t, Delivery::Pair { header: header(t), data: None }).expect("obfuscate");
+                let decoded = mem.receive(t, &[&pair.real, &pair.dummy]);
                 proptest::prop_assert!(decoded.is_ok(), "lane {} lost sync with itself", t);
             }
             // ...and no lane accepts a neighbour's traffic.
             for t in 0..tenants {
                 let other = (t + 1) % tenants;
-                let pair = proc.obfuscate(Time::ZERO, t, header(t), None).expect("obfuscate");
-                let cross = mem.receive_pair(other, &pair.real, &pair.dummy);
+                let pair = proc.obfuscate(Time::ZERO, t, Delivery::Pair { header: header(t), data: None }).expect("obfuscate");
+                let cross = mem.receive(other, &[&pair.real, &pair.dummy]);
                 proptest::prop_assert!(cross.is_err(), "lane {} decoded lane {}'s packets", other, t);
             }
         }
