@@ -801,25 +801,23 @@ pub fn backends_study(instructions: u64, seed: u64) -> Vec<BackendRow> {
         .into_iter()
         .map(|name| {
             let spec = by_name(name).expect("Table 1 workload");
-            let run = |security, backend| {
-                let mut sys = System::new(SystemConfig {
-                    security,
-                    mem: MemConfig::table2().with_backend(backend),
-                    ..SystemConfig::default()
-                });
-                let r = sys.run(&spec, instructions, seed);
-                (r, sys)
+            let point = |scheme, backend| PointSpec {
+                mem: MemConfig::table2().with_backend(backend),
+                ..PointSpec::paper(spec.clone(), scheme, instructions, seed)
             };
-            let (base_r, _) = run(SecurityLevel::Unprotected, BackendKind::Reservation);
-            let (prot_r, _) = run(SecurityLevel::ObfuscateAuth, BackendKind::Reservation);
-            let (base_q, _) = run(SecurityLevel::Unprotected, BackendKind::Queued);
-            let (prot_q, sys_q) = run(SecurityLevel::ObfuscateAuth, BackendKind::Queued);
-            let sched = sys_q
-                .backend()
-                .memory()
-                .scheduler_stats()
-                .expect("queued backend exposes scheduler stats");
-            let serviced = sched.serviced.get().max(1);
+            let base_r = run_point(&point(Scheme::Unprotected, BackendKind::Reservation));
+            let prot_r = run_point(&point(Scheme::ObfusmemAuth, BackendKind::Reservation));
+            let base_q = run_point(&point(Scheme::Unprotected, BackendKind::Queued));
+            let (prot_q, metrics) = run_point_observed(
+                &point(Scheme::ObfusmemAuth, BackendKind::Queued),
+                &TraceHandle::disabled(),
+            );
+            let sched = |name: &str| {
+                metrics
+                    .counter(&format!("mem.queued.{name}"))
+                    .expect("the queued backend publishes scheduler counters")
+            };
+            let serviced = sched("serviced").max(1);
             BackendRow {
                 name: spec.name,
                 reservation_overhead: prot_r.overhead_vs(&base_r),
@@ -827,9 +825,9 @@ pub fn backends_study(instructions: u64, seed: u64) -> Vec<BackendRow> {
                 divergence: 100.0
                     * (prot_q.exec_time.as_ps() as f64 - prot_r.exec_time.as_ps() as f64)
                     / prot_r.exec_time.as_ps() as f64,
-                row_hit_rate: 100.0 * sched.row_hits.get() as f64 / serviced as f64,
-                reordered: sched.reordered.get(),
-                adaptive_closes: sched.adaptive_closes.get(),
+                row_hit_rate: 100.0 * sched("row_hits") as f64 / serviced as f64,
+                reordered: sched("reordered"),
+                adaptive_closes: sched("adaptive_closes"),
             }
         })
         .collect()
