@@ -8,11 +8,19 @@
 //!
 //! A mismatch prints the whole recomputed table. Paste it over `PINS`
 //! only when the change in job lists is deliberate.
+//!
+//! Two more cases run CI's sweep grids in-process through `run_sweep`
+//! and pin the FNV-1a of the rows they write, so a local `cargo test`
+//! fails where CI's shell gates would: the thread-count byte-identity
+//! grid and the queued-backend smoke grid, plain and traced.
 
 use obfusmem::core::link::ALL_FAULT_KINDS;
 use obfusmem::mem::config::BackendKind;
 use obfusmem::mem::fault::ALL_DEVICE_FAULT_KINDS;
+use std::path::PathBuf;
+
 use obfusmem_harness::measure::{OramMode, Scheme};
+use obfusmem_harness::runner::{run_sweep, RunOptions, SweepReport};
 use obfusmem_harness::spec::{flag_key, SweepSpec};
 
 /// FNV-1a, 64 bit.
@@ -148,4 +156,126 @@ fn every_spec_key_is_also_a_flag() {
     }
     assert_eq!(flag_key("positional"), None);
     assert!(SweepSpec::default().set("warp_drive", "1").is_err());
+}
+
+/// A results file in the temp directory, removed when dropped.
+struct TempFile(PathBuf);
+
+impl TempFile {
+    fn new(name: &str) -> Self {
+        let path =
+            std::env::temp_dir().join(format!("obfusmem-sweep-grid-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        TempFile(path)
+    }
+
+    fn read(&self) -> String {
+        std::fs::read_to_string(&self.0).expect("the sweep wrote its file")
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// `sweep ... --no-timing --quiet` with `threads` workers.
+fn quiet(threads: usize) -> RunOptions {
+    RunOptions {
+        threads,
+        timing: false,
+        quiet: true,
+        ..RunOptions::default()
+    }
+}
+
+/// Runs `spec` into `out` and returns the report.
+fn sweep(spec: &SweepSpec, out: &TempFile, opts: &RunOptions) -> SweepReport {
+    run_sweep(spec, &out.0, opts).unwrap_or_else(|e| panic!("{}: {e}", out.0.display()))
+}
+
+/// Row count and FNV-1a of the parent release binary's
+/// `ci-threads-1.jsonl` (CI step "Sweep thread-count byte-identity").
+const THREADS_PIN: (usize, u64) = (5, 0x1025_7f1b_3af1_e042);
+
+/// Row count and FNV-1a of the parent release binary's `ci-queued.jsonl`
+/// (CI step "Queued backend smoke").
+const QUEUED_PIN: (usize, u64) = (6, 0xa0a9_43b4_2c40_4fc8);
+
+/// CI's thread-count gate: `sweep --workloads micro --schemes all
+/// -n 50000 --no-timing` writes the same bytes at `--threads 1` and
+/// `--threads 4`.
+#[test]
+fn micro_grid_bytes_do_not_depend_on_thread_count() {
+    let spec = SweepSpec {
+        workloads: vec!["micro".into()],
+        schemes: Scheme::ALL.to_vec(),
+        instructions: 50_000,
+        ..SweepSpec::default()
+    };
+    let (one, four) = (TempFile::new("threads-1"), TempFile::new("threads-4"));
+    sweep(&spec, &one, &quiet(1));
+    sweep(&spec, &four, &quiet(4));
+    let text = one.read();
+    assert_eq!(text, four.read(), "rows depend on the thread count");
+    let got = (text.lines().count(), fnv(text.as_bytes()));
+    assert_eq!(
+        got, THREADS_PIN,
+        "micro grid rows moved; recomputed digest {:#018x}, rows:\n{text}",
+        got.1
+    );
+}
+
+/// CI's queued smoke and queued traced smoke: the micro grid over three
+/// schemes on both controllers at 2 channels resumes without rerunning
+/// a job, carries scheduler counters on the queued rows only, and
+/// writes the same rows when metrics and a trace are recorded too.
+#[test]
+fn queued_grid_is_resumable_and_traced_rows_equal_plain_ones() {
+    let spec = SweepSpec {
+        workloads: vec!["micro".into()],
+        schemes: vec![Scheme::Unprotected, Scheme::Obfusmem, Scheme::ObfusmemAuth],
+        backends: BackendKind::ALL.to_vec(),
+        channels: vec![2],
+        instructions: 50_000,
+        ..SweepSpec::default()
+    };
+    let plain = TempFile::new("queued");
+    sweep(&spec, &plain, &quiet(2));
+    let again = sweep(&spec, &plain, &quiet(2));
+    assert_eq!(
+        (again.ran, again.resumed),
+        (0, 6),
+        "a rerun resumes every row"
+    );
+    let text = plain.read();
+    let queued: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains("\"backend\":\"queued\""))
+        .collect();
+    assert_eq!(queued.len(), 3);
+    assert!(queued.iter().any(|l| l.contains("\"sched_row_hits\"")));
+
+    let (traced, metrics, trace) = (
+        TempFile::new("queued-traced"),
+        TempFile::new("queued-metrics"),
+        TempFile::new("queued-trace"),
+    );
+    let opts = RunOptions {
+        metrics_out: Some(metrics.0.clone()),
+        trace_out: Some(trace.0.clone()),
+        ..quiet(2)
+    };
+    sweep(&spec, &traced, &opts);
+    assert_eq!(text, traced.read(), "recording changed the rows");
+    assert_eq!(metrics.read().lines().count(), 6);
+    assert!(trace.read().contains("\"traceEvents\""));
+
+    let got = (text.lines().count(), fnv(text.as_bytes()));
+    assert_eq!(
+        got, QUEUED_PIN,
+        "queued grid rows moved; recomputed digest {:#018x}, rows:\n{text}",
+        got.1
+    );
 }
