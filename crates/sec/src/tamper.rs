@@ -76,7 +76,7 @@ fn make_request(
     proc: &mut ProcessorEngine,
     rng: &mut SplitMix64,
     i: u64,
-) -> (BusPacket, BusPacket) {
+) -> (BusPacket, Option<BusPacket>) {
     let write = rng.chance(0.3);
     let header = RequestHeader {
         kind: if write {
@@ -115,7 +115,7 @@ pub fn run_campaign(cfg: ObfusMemConfig, kind: TamperKind, attempts: u64) -> Cam
         // Honest warm-up traffic.
         for i in 0..3 {
             let (real, dummy) = make_request(&mut proc, &mut rng, i);
-            mem.receive(0, &[&real, &dummy])
+            mem.receive(0, &real, dummy.as_ref())
                 .expect("honest traffic passes");
         }
 
@@ -133,7 +133,7 @@ pub fn run_campaign(cfg: ObfusMemConfig, kind: TamperKind, attempts: u64) -> Cam
                     8 + rng.below(64) as usize
                 };
                 real.header_ct[bit / 8] ^= 1 << (bit % 8);
-                mem.receive(0, &[&real, &dummy]).is_err()
+                mem.receive(0, &real, dummy.as_ref()).is_err()
             }
             TamperKind::FlipDataBit => {
                 // Force a write so there is data to corrupt.
@@ -156,7 +156,7 @@ pub fn run_campaign(cfg: ObfusMemConfig, kind: TamperKind, attempts: u64) -> Cam
                 if let Some(data) = &mut real.data_ct {
                     data[bit / 8] ^= 1 << (bit % 8);
                 }
-                match mem.receive(0, &[&real, &pair.dummy]) {
+                match mem.receive(0, &real, pair.dummy.as_ref()) {
                     Err(_) => true,
                     Ok((decoded, _)) => {
                         // Encrypt-and-MAC does not cover data directly
@@ -172,13 +172,13 @@ pub fn run_campaign(cfg: ObfusMemConfig, kind: TamperKind, attempts: u64) -> Cam
             TamperKind::DropMessage => {
                 let _dropped = make_request(&mut proc, &mut rng, 200 + trial);
                 let (real, dummy) = make_request(&mut proc, &mut rng, 300 + trial);
-                mem.receive(0, &[&real, &dummy]).is_err()
+                mem.receive(0, &real, dummy.as_ref()).is_err()
             }
             TamperKind::Replay => {
                 let (real, dummy) = make_request(&mut proc, &mut rng, 400 + trial);
-                mem.receive(0, &[&real, &dummy])
+                mem.receive(0, &real, dummy.as_ref())
                     .expect("first delivery is honest");
-                mem.receive(0, &[&real, &dummy]).is_err()
+                mem.receive(0, &real, dummy.as_ref()).is_err()
             }
             TamperKind::Inject => {
                 let mut forged = BusPacket {
@@ -189,14 +189,14 @@ pub fn run_campaign(cfg: ObfusMemConfig, kind: TamperKind, attempts: u64) -> Cam
                 for b in forged.header_ct.iter_mut() {
                     *b = rng.next_u64() as u8;
                 }
-                mem.receive(0, &[&forged, &forged]).is_err()
+                mem.receive(0, &forged, Some(&forged)).is_err()
             }
             TamperKind::Reorder => {
                 let first = make_request(&mut proc, &mut rng, 500 + trial);
                 let second = make_request(&mut proc, &mut rng, 600 + trial);
                 // Deliver out of order.
-                let second_err = mem.receive(0, &[&second.0, &second.1]).is_err();
-                let first_err = mem.receive(0, &[&first.0, &first.1]).is_err();
+                let second_err = mem.receive(0, &second.0, second.1.as_ref()).is_err();
+                let first_err = mem.receive(0, &first.0, first.1.as_ref()).is_err();
                 second_err || first_err
             }
         };
@@ -388,7 +388,7 @@ mod tests {
         let mut tampered = pair.real.clone();
         tampered.header_ct[12] ^= 0xFF; // padding byte
         let err = mem
-            .receive(0, &[&tampered, &pair.dummy])
+            .receive(0, &tampered, pair.dummy.as_ref())
             .expect_err("nonzero padding must be rejected");
         assert!(
             matches!(err, obfusmem_core::ObfusMemError::MalformedPacket(_)),
