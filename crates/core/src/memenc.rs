@@ -13,6 +13,7 @@ use obfusmem_crypto::aes::Aes128;
 use obfusmem_mem::request::{BlockData, BLOCK_BYTES};
 
 use crate::counters::{BumpOutcome, CounterStore};
+use crate::window::xor64;
 
 /// Outcome of consulting the counter cache for one access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,11 +103,7 @@ impl MemoryEncryption {
             pad[15] ^= (i as u8) << 4;
         }
         self.cipher.encrypt_blocks(&mut pads);
-        for (chunk, pad) in data.chunks_mut(16).zip(pads.iter()) {
-            for (d, p) in chunk.iter_mut().zip(pad.iter()) {
-                *d ^= p;
-            }
-        }
+        xor64(data, &pads);
         debug_assert_eq!(data.len(), BLOCK_BYTES);
     }
 
