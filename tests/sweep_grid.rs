@@ -12,7 +12,8 @@
 //! Two more cases run CI's sweep grids in-process through `run_sweep`
 //! and pin the FNV-1a of the rows they write, so a local `cargo test`
 //! fails where CI's shell gates would: the thread-count byte-identity
-//! grid and the queued-backend smoke grid, plain and traced.
+//! grid, the queued-backend smoke grid, plain and traced, and the
+//! ORAM-mode smoke grid.
 
 use obfusmem::core::link::ALL_FAULT_KINDS;
 use obfusmem::mem::config::BackendKind;
@@ -203,6 +204,10 @@ const THREADS_PIN: (usize, u64) = (5, 0x1025_7f1b_3af1_e042);
 /// (CI step "Queued backend smoke").
 const QUEUED_PIN: (usize, u64) = (6, 0xa0a9_43b4_2c40_4fc8);
 
+/// Row count and FNV-1a of the parent release binary's
+/// `ci-oram-modes.jsonl` (CI step "ORAM codesign smoke").
+const ORAM_MODES_PIN: (usize, u64) = (4, 0x67e9_c520_4fa0_fe28);
+
 /// CI's thread-count gate: `sweep --workloads micro --schemes all
 /// -n 50000 --no-timing` writes the same bytes at `--threads 1` and
 /// `--threads 4`.
@@ -276,6 +281,33 @@ fn queued_grid_is_resumable_and_traced_rows_equal_plain_ones() {
     assert_eq!(
         got, QUEUED_PIN,
         "queued grid rows moved; recomputed digest {:#018x}, rows:\n{text}",
+        got.1
+    );
+}
+
+/// CI's ORAM codesign smoke: `--oram-mode all` fans out only the oram
+/// scheme, so the micro grid writes one unprotected row, one fixed-mode
+/// row without an `oram_mode` field, and one serial and one codesign
+/// row that carry it.
+#[test]
+fn oram_mode_grid_tags_only_the_detailed_rows() {
+    let spec = SweepSpec {
+        workloads: vec!["micro".into()],
+        schemes: vec![Scheme::Unprotected, Scheme::OramModel],
+        oram_modes: OramMode::ALL.to_vec(),
+        instructions: 50_000,
+        ..SweepSpec::default()
+    };
+    let out = TempFile::new("oram-modes");
+    sweep(&spec, &out, &quiet(2));
+    let text = out.read();
+    let count = |needle: &str| text.lines().filter(|l| l.contains(needle)).count();
+    assert_eq!(count("\"oram_mode\":\"codesign\""), 1);
+    assert_eq!(count("\"oram_mode\""), 2);
+    let got = (text.lines().count(), fnv(text.as_bytes()));
+    assert_eq!(
+        got, ORAM_MODES_PIN,
+        "oram-mode grid rows moved; recomputed digest {:#018x}, rows:\n{text}",
         got.1
     );
 }
