@@ -677,12 +677,12 @@ pub struct DetailedOramRow {
 /// extrapolates along the same line).
 pub fn oram_detailed(seed: u64) -> Vec<DetailedOramRow> {
     use obfusmem_mem::request::BlockAddr;
-    use obfusmem_oram::detailed::DetailedOram;
+    use obfusmem_oram::codesign::CodesignOram;
     [8u32, 12, 16, 18]
         .into_iter()
         .map(|levels| {
             let blocks = (4u64 << levels) / 4;
-            let mut d = DetailedOram::new(
+            let mut d = CodesignOram::serial(
                 OramConfig {
                     levels,
                     bucket_size: 4,
@@ -690,6 +690,7 @@ pub fn oram_detailed(seed: u64) -> Vec<DetailedOramRow> {
                 },
                 MemConfig::table2(),
                 seed,
+                false,
             )
             .expect("valid geometry");
             let mut rng = SplitMix64::new(seed ^ levels as u64);

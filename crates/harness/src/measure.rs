@@ -19,7 +19,6 @@ use obfusmem_mem::request::BlockAddr;
 use obfusmem_obs::metrics::{MetricsNode, Observable};
 use obfusmem_obs::trace::TraceHandle;
 use obfusmem_oram::codesign::CodesignOram;
-use obfusmem_oram::detailed::DetailedOram;
 use obfusmem_oram::model::OramModel;
 use obfusmem_oram::path_oram::{OramConfig, PathOram};
 
@@ -300,27 +299,18 @@ pub fn run_point_with(
                     model.observe(metrics.child("oram"));
                     result
                 }
-                (None, OramMode::Serial) => {
-                    let mut oram = DetailedOram::new(
+                (None, mode) => {
+                    let (geometry, mem, seed) = (
                         detailed_oram_geometry(),
                         p.mem.clone(),
                         oram_backend_seed(p),
-                    )
-                    .expect("static serial-mode geometry is valid")
-                    .with_posmap_chain();
-                    let result = run(&mut oram, &mut metrics);
-                    let node = metrics.child("oram");
-                    oram.oram().observe(node);
-                    node.set_gauge("mean_access_ns", oram.mean_access_ns());
-                    result
-                }
-                (None, OramMode::Codesign) => {
-                    let mut oram = CodesignOram::new(
-                        detailed_oram_geometry(),
-                        p.mem.clone(),
-                        oram_backend_seed(p),
-                    )
-                    .expect("static codesign-mode geometry is valid");
+                    );
+                    let mut oram = if mode == OramMode::Serial {
+                        CodesignOram::serial(geometry, mem, seed, true)
+                    } else {
+                        CodesignOram::new(geometry, mem, seed)
+                    }
+                    .expect("static detailed-mode geometry is valid");
                     let result = run(&mut oram, &mut metrics);
                     oram.drain_posted();
                     let node = metrics.child("oram");

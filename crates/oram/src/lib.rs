@@ -30,7 +30,6 @@
 //! ```
 
 pub mod codesign;
-pub mod detailed;
 pub mod model;
 pub mod path_oram;
 pub mod posmap;

@@ -97,27 +97,6 @@ struct BucketState {
     reads_since_shuffle: u64,
 }
 
-/// The physical work one Ring ORAM access implies, as a batch a
-/// co-designed controller can fan out and overlap (see
-/// [`RingOram::access_path_concurrent`]).
-#[derive(Debug, Clone)]
-pub struct RingBatch {
-    /// The logical block's data after the access.
-    pub data: BlockData,
-    /// The leaf whose path was read (what a bus observer sees).
-    pub leaf: u64,
-    /// Path nodes touched by the online read — one slot each.
-    pub online_nodes: Vec<u64>,
-    /// Buckets that crossed the `s`-read threshold this access; each
-    /// implies `z + s` slot reads plus `z + s` slot writes of
-    /// background reshuffle work.
-    pub reshuffled_nodes: Vec<u64>,
-    /// Leaves whose paths were evicted (the amortized EvictPath and any
-    /// stash-pressure relief passes); each implies a full `z + s`
-    /// per-bucket read + write sweep of the path.
-    pub evicted_leaves: Vec<u64>,
-}
-
 /// A functional Ring ORAM.
 #[derive(Debug)]
 pub struct RingOram {
@@ -187,20 +166,6 @@ impl RingOram {
         self.stash.max_occupancy()
     }
 
-    /// The bucket tree (read-only), e.g. to walk path nodes when
-    /// translating a [`RingBatch`] into physical requests.
-    pub fn tree(&self) -> &BucketTree {
-        &self.tree
-    }
-
-    /// Physical byte address of `slot` in bucket `node` under Ring's
-    /// layout: each bucket occupies `z + s` 64-byte slots (the reserved
-    /// dummies are physical storage too, unlike Path ORAM's Z-slot
-    /// buckets).
-    pub fn slot_address(&self, node: u64, slot: usize) -> u64 {
-        (node * (self.cfg.z + self.cfg.s) as u64 + slot as u64) * 64
-    }
-
     /// Sets (or clears) the hard stash bound. `None` (the default) keeps
     /// the functional stash unbounded — bit-identical to the historical
     /// behavior. With `Some(bound)`, accesses that leave the stash over
@@ -229,36 +194,6 @@ impl RingOram {
     }
 
     fn access(&mut self, id: u64, write: Option<BlockData>) -> Result<BlockData, OramError> {
-        self.access_internal(id, write).map(|batch| batch.data)
-    }
-
-    /// One access expressed as a physical batch plan: performs the
-    /// functional access exactly as [`RingOram::read`] would (same
-    /// randomness, so serial and concurrent controllers driving the
-    /// same seed stay bit-identical) and reports the physical work it
-    /// implies — the online slot reads, any buckets that crossed the
-    /// early-reshuffle threshold, and any EvictPath passes that fired.
-    /// A co-designed controller schedules the reshuffles and evictions
-    /// as background batches overlapping foreground accesses; a serial
-    /// one charges them to the critical path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OramError::BlockOutOfRange`] for out-of-range ids, or
-    /// [`OramError::StashOverflow`] under a hard bound.
-    pub fn access_path_concurrent(
-        &mut self,
-        id: u64,
-        write: Option<BlockData>,
-    ) -> Result<RingBatch, OramError> {
-        self.access_internal(id, write)
-    }
-
-    fn access_internal(
-        &mut self,
-        id: u64,
-        write: Option<BlockData>,
-    ) -> Result<RingBatch, OramError> {
         if id >= self.cfg.blocks {
             return Err(OramError::BlockOutOfRange {
                 block: id,
@@ -296,7 +231,6 @@ impl RingOram {
         };
 
         // Early reshuffle any bucket that exhausted its dummies.
-        let mut reshuffled_nodes = Vec::new();
         for &node in &path {
             let state = self.bucket_state.entry(node).or_default();
             if state.reads_since_shuffle >= self.cfg.s as u64 {
@@ -305,7 +239,6 @@ impl RingOram {
                 // (z + s slots).
                 let occupancy = self.tree.bucket(node).len() as u64;
                 self.metrics.reshuffle_blocks += occupancy + (self.cfg.z + self.cfg.s) as u64;
-                reshuffled_nodes.push(node);
             }
         }
 
@@ -330,21 +263,14 @@ impl RingOram {
         };
 
         // Amortized EvictPath every `a` accesses.
-        let mut evicted_leaves = Vec::new();
         self.evict_counter += 1;
         if self.evict_counter >= self.cfg.a {
             self.evict_counter = 0;
-            evicted_leaves.push(self.evict_path());
+            self.evict_path();
         }
         self.metrics.stash_high_water = self.metrics.stash_high_water.max(self.stash.len());
-        self.relieve_stash_pressure(&mut evicted_leaves)?;
-        Ok(RingBatch {
-            data,
-            leaf: old_leaf,
-            online_nodes: path,
-            reshuffled_nodes,
-            evicted_leaves,
-        })
+        self.relieve_stash_pressure()?;
+        Ok(data)
     }
 
     /// With a hard bound configured, runs up to `MAX_BACKGROUND_PASSES`
@@ -352,14 +278,14 @@ impl RingOram {
     /// the stash is over the bound, then errors if pressure persists.
     /// The served block is already committed to the stash, so a caller
     /// that recovers loses nothing.
-    fn relieve_stash_pressure(&mut self, evicted: &mut Vec<u64>) -> Result<(), OramError> {
+    fn relieve_stash_pressure(&mut self) -> Result<(), OramError> {
         let Some(bound) = self.stash_hard_bound else {
             return Ok(());
         };
         let mut passes = 0;
         while self.stash.len() > bound && passes < MAX_BACKGROUND_PASSES {
             self.metrics.background_evictions += 1;
-            evicted.push(self.evict_path());
+            self.evict_path();
             passes += 1;
         }
         self.stash.check_bound(bound)
@@ -367,9 +293,8 @@ impl RingOram {
 
     /// EvictPath: read the round-robin path's real blocks into the stash,
     /// then greedily refill it (standard Path ORAM eviction over Z real
-    /// slots), writing every slot (z + s) of every bucket back. Returns
-    /// the leaf whose path was evicted.
-    fn evict_path(&mut self) -> u64 {
+    /// slots), writing every slot (z + s) of every bucket back.
+    fn evict_path(&mut self) {
         let leaf = self.evict_cursor % self.tree.leaf_count();
         // Bit-reversed order spreads evictions uniformly over subtrees.
         self.evict_cursor = self.evict_cursor.wrapping_add(1);
@@ -392,7 +317,6 @@ impl RingOram {
             self.metrics.evict_blocks += (self.cfg.z + self.cfg.s) as u64;
             self.bucket_state.insert(node, BucketState::default());
         }
-        leaf
     }
 
     /// Verifies the path invariant for all resident blocks.
