@@ -26,6 +26,29 @@ pub const ENTRIES_PER_BLOCK: u64 = 16;
 /// Number of map entries at and below which the map stays on chip.
 pub const ON_CHIP_LIMIT: u64 = 256;
 
+/// The Freecursive-style position-map recursion chain implied by a data
+/// geometry: each level packs [`ENTRIES_PER_BLOCK`] leaf labels per
+/// 64-byte block, keeps its tree at most half full, and the chain shrinks
+/// 16× per level until the outermost map fits [`ON_CHIP_LIMIT`].
+/// Innermost (largest) level first; empty when the data map itself fits
+/// on chip. [`RecursiveOram`] stores these levels; the timed controllers
+/// in [`crate::codesign`] charge their paths.
+pub fn posmap_chain(cfg: &OramConfig) -> Vec<OramConfig> {
+    let mut chain = Vec::new();
+    let mut map_entries = cfg.blocks;
+    while map_entries > ON_CHIP_LIMIT {
+        let map_blocks = map_entries.div_ceil(ENTRIES_PER_BLOCK);
+        let levels = (64 - (map_blocks / 2).max(1).leading_zeros()).max(3);
+        chain.push(OramConfig {
+            levels,
+            bucket_size: 4,
+            blocks: map_blocks,
+        });
+        map_entries = map_blocks;
+    }
+    chain
+}
+
 fn get_entry(block: &BlockData, slot: u64) -> u64 {
     let i = slot as usize * 4;
     // Slots come from `% ENTRIES_PER_BLOCK`, so the range is always in
@@ -70,36 +93,27 @@ impl RecursiveOram {
         if blocks == 0 {
             return Err(OramError::BadConfig("zero logical blocks".into()));
         }
+        let data = OramConfig {
+            levels,
+            bucket_size: 4,
+            blocks,
+        };
         let mut rng = SplitMix64::new(seed ^ REC_SALT);
-        let mut orams = Vec::new();
-        let mut level_blocks = blocks;
-        let mut level_levels = levels;
-        loop {
-            let cfg = OramConfig {
-                levels: level_levels,
-                bucket_size: 4,
-                blocks: level_blocks,
-            };
-            orams.push(PathOram::new(cfg, rng.next_u64())?);
-            let map_entries = level_blocks; // one leaf per block of this level
-            let map_blocks = map_entries.div_ceil(ENTRIES_PER_BLOCK);
-            if map_entries <= ON_CHIP_LIMIT {
-                // This level's map lives on chip.
-                let leaf_count = 1u64 << level_levels;
-                let on_chip = (0..map_entries).map(|_| rng.below(leaf_count)).collect();
-                return Ok(RecursiveOram {
-                    orams,
-                    on_chip,
-                    rng,
-                    blocks,
-                    accesses: 0,
-                });
-            }
-            // Next level stores `map_blocks` packed blocks; shrink the tree
-            // so utilization stays ≤ 50%.
-            level_levels = (64 - (map_blocks / 2).max(1).leading_zeros()).max(3);
-            level_blocks = map_blocks;
-        }
+        let orams = std::iter::once(data)
+            .chain(posmap_chain(&data))
+            .map(|cfg| PathOram::new(cfg, rng.next_u64()))
+            .collect::<Result<Vec<_>, _>>()?;
+        // The outermost level's map lives on chip.
+        let outer = orams[orams.len() - 1].config();
+        let leaf_count = 1u64 << outer.levels;
+        let on_chip = (0..outer.blocks).map(|_| rng.below(leaf_count)).collect();
+        Ok(RecursiveOram {
+            orams,
+            on_chip,
+            rng,
+            blocks,
+            accesses: 0,
+        })
     }
 
     /// Data blocks stored.
@@ -234,6 +248,27 @@ mod tests {
 
     fn oram(levels: u32, blocks: u64, seed: u64) -> RecursiveOram {
         RecursiveOram::new(levels, blocks, seed).unwrap()
+    }
+
+    #[test]
+    fn posmap_chain_shrinks_to_on_chip() {
+        let chain = posmap_chain(&OramConfig {
+            levels: 12,
+            bucket_size: 4,
+            blocks: 4096,
+        });
+        assert!(!chain.is_empty(), "4096-entry map cannot fit on chip");
+        for w in chain.windows(2) {
+            assert!(w[1].blocks < w[0].blocks, "chain must shrink");
+        }
+        assert!(chain.last().unwrap().blocks <= ON_CHIP_LIMIT);
+        // A tiny map needs no off-chip recursion at all.
+        assert!(posmap_chain(&OramConfig {
+            levels: 6,
+            bucket_size: 4,
+            blocks: 200,
+        })
+        .is_empty());
     }
 
     #[test]
