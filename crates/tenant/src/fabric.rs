@@ -766,6 +766,8 @@ impl SessionFabric {
                     }
                     *span = (*span).max(comp.at);
                 });
+                // No wear model: adaptive-close cell writes are dropped.
+                self.sched.drain_cell_writes(|_, _, _| {});
                 // Reply path: the module seals this tenant's (synthetic)
                 // stored block under the pair's reserved pads; the
                 // processor opens it.
@@ -913,6 +915,7 @@ impl SessionFabric {
         let span = &mut self.span;
         self.sched
             .drain_completions(|_, comp| *span = (*span).max(comp.at));
+        self.sched.drain_cell_writes(|_, _, _| {});
     }
 
     /// End-of-run roll-up.
@@ -1088,6 +1091,19 @@ mod tests {
         let epochs_a: Vec<u64> = report.tenants.iter().map(|t| t.rekeys).collect();
         let epochs_b: Vec<u64> = again.report().tenants.iter().map(|t| t.rekeys).collect();
         assert_eq!(epochs_a, epochs_b);
+    }
+
+    /// The fabric has no wear model, so the adaptive-close cell writes
+    /// its scheduler buffers are discarded where completions are drained
+    /// rather than queued for the whole cell.
+    #[test]
+    fn adaptive_close_cell_writes_do_not_pile_up() {
+        let mut fabric = SessionFabric::new(small_cfg()).expect("fabric builds");
+        fabric.run_to_completion().expect("run completes");
+        assert!(fabric.sched.stats().adaptive_closes.get() > 0);
+        let mut queued = 0;
+        fabric.sched.drain_cell_writes(|_, _, _| queued += 1);
+        assert_eq!(queued, 0, "cell writes left queued after the run");
     }
 
     #[test]
