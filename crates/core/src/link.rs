@@ -916,8 +916,12 @@ mod tests {
     /// Runs `n` writes through the link and asserts every delivery
     /// decodes to the original request with both counters converged.
     fn run_campaign(kind: FaultKind, rate: f64, seed: u64, n: usize) -> LinkStats {
-        let plan = plan_single(kind, rate, seed);
-        let mut cfg = cfg_with(plan);
+        run_campaign_with(cfg_with(plan_single(kind, rate, seed)), n)
+    }
+
+    /// [`run_campaign`] under any configuration.
+    fn run_campaign_with(mut cfg: ObfusMemConfig, n: usize) -> LinkStats {
+        let plan = cfg.faults;
         // Campaign rates here are orders of magnitude above the ≤1e-3
         // acceptance envelope; widen the retry budget so compounded
         // data+ACK losses at rate 0.3+ stay inside it.
@@ -977,6 +981,22 @@ mod tests {
                 "{}: every fault must be recovered within the retry budget",
                 kind.name()
             );
+        }
+    }
+
+    /// Without MACs only the link CRC checks a data lane in band, so
+    /// drops, duplicates and delay bursts must heal through the ARQ
+    /// alone.
+    #[test]
+    fn lossy_faults_recover_without_authentication() {
+        for kind in [FaultKind::Drop, FaultKind::Duplicate, FaultKind::DelayBurst] {
+            let cfg = ObfusMemConfig {
+                security: SecurityLevel::Obfuscate,
+                ..cfg_with(plan_single(kind, 0.2, 11))
+            };
+            let stats = run_campaign_with(cfg, 80);
+            assert!(stats.faults_injected.get() > 0, "{}", kind.name());
+            assert_eq!(stats.unrecovered.get(), 0, "{}", kind.name());
         }
     }
 

@@ -112,28 +112,6 @@ impl System {
     }
 }
 
-/// Runs one workload at several security levels on fresh machines and
-/// returns `(level, result)` pairs — the Figure 4 inner loop.
-pub fn run_security_sweep(
-    spec: &WorkloadSpec,
-    instructions: u64,
-    levels: &[SecurityLevel],
-    mem: MemConfig,
-    seed: u64,
-) -> Vec<(SecurityLevel, RunResult)> {
-    levels
-        .iter()
-        .map(|&security| {
-            let mut sys = System::new(SystemConfig {
-                security,
-                mem: mem.clone(),
-                ..SystemConfig::default()
-            });
-            (security, sys.run(spec, instructions, seed))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,13 +133,16 @@ mod tests {
             SecurityLevel::Obfuscate,
             SecurityLevel::ObfuscateAuth,
         ];
-        let results = run_security_sweep(
-            &micro_test_workload(),
-            100_000,
-            &levels,
-            MemConfig::table2(),
-            7,
-        );
+        let results: Vec<(SecurityLevel, RunResult)> = levels
+            .iter()
+            .map(|&security| {
+                let mut sys = System::new(SystemConfig {
+                    security,
+                    ..SystemConfig::default()
+                });
+                (security, sys.run(&micro_test_workload(), 100_000, 7))
+            })
+            .collect();
         let base = &results[0].1;
         let mut last = 0.0;
         for (level, r) in &results[1..] {

@@ -5,7 +5,7 @@
 //! roughly what factor, and where the crossovers fall.
 
 use obfusmem::core::config::SecurityLevel;
-use obfusmem::core::system::{run_security_sweep, System, SystemConfig};
+use obfusmem::core::system::{System, SystemConfig};
 use obfusmem::cpu::core::TraceDrivenCore;
 use obfusmem::cpu::workload::{by_name, table1_workloads};
 use obfusmem::mem::config::MemConfig;
@@ -78,19 +78,21 @@ fn speedup_ordering_follows_mpki() {
 #[test]
 fn security_levels_cost_monotonically_more() {
     let spec = by_name("gems").unwrap();
-    let results = run_security_sweep(
-        &spec,
-        N,
-        &[
-            SecurityLevel::Unprotected,
-            SecurityLevel::EncryptOnly,
-            SecurityLevel::Obfuscate,
-            SecurityLevel::ObfuscateAuth,
-        ],
-        MemConfig::table2(),
-        SEED,
-    );
-    let times: Vec<u64> = results.iter().map(|(_, r)| r.exec_time.as_ps()).collect();
+    let times: Vec<u64> = [
+        SecurityLevel::Unprotected,
+        SecurityLevel::EncryptOnly,
+        SecurityLevel::Obfuscate,
+        SecurityLevel::ObfuscateAuth,
+    ]
+    .into_iter()
+    .map(|security| {
+        let mut sys = System::new(SystemConfig {
+            security,
+            ..SystemConfig::default()
+        });
+        sys.run(&spec, N, SEED).exec_time.as_ps()
+    })
+    .collect();
     for w in times.windows(2) {
         assert!(
             w[1] >= w[0],
