@@ -437,19 +437,15 @@ impl ObfusMemBackend {
     /// droppable fixed-address kind. Each pair costs its wire bytes on the
     /// target channel (read packet + write packet + random-data reply).
     fn inject_channels(&mut self, at: Time, real_channel: usize) {
-        let idle: Vec<bool> = (0..self.mem.config().channels)
-            .map(|c| self.mem.channel_idle_at(c, at))
-            .collect();
-        // Quarantined channels carry no traffic, dummies included; the
-        // all-true mask of the fault-free case reduces to plain `plan`.
-        let healthy = match &self.link {
-            Some(link) => link.healthy_mask(),
-            None => vec![true; idle.len()],
-        };
-        let plan = self
-            .chan_obf
-            .plan_with_health(real_channel, &idle, &healthy);
-        for ch in plan.inject {
+        // Injecting touches only its own channel's lanes and engines, so
+        // each channel's idleness reads as it did before any injection.
+        for ch in 0..self.mem.config().channels {
+            // Quarantined channels carry no traffic, dummies included.
+            let healthy = self.link.as_ref().is_none_or(|l| !l.is_quarantined(ch));
+            let idle = self.mem.channel_idle_at(ch, at);
+            if !self.chan_obf.injects(real_channel, ch, idle, healthy) {
+                continue;
+            }
             self.stats.channel_dummies += 1;
             // 24 B dummy-read packet + 88 B dummy-write packet out;
             // 72 B random reply for the dummy read back.

@@ -14,13 +14,6 @@
 
 use crate::config::ChannelStrategy;
 
-/// Decision for one real request: which other channels get a dummy pair.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InjectionPlan {
-    /// Channels to inject dummy pairs on.
-    pub inject: Vec<usize>,
-}
-
 /// Stateful planner with counters for the Figure 5 accounting.
 #[derive(Debug)]
 pub struct ChannelObfuscator {
@@ -55,54 +48,32 @@ impl ChannelObfuscator {
         self.suppressed_busy
     }
 
-    /// Plans injections for a real request on `real_channel` given each
-    /// channel's idleness at issue time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `real_channel` is out of range of `idle`.
-    pub fn plan(&mut self, real_channel: usize, idle: &[bool]) -> InjectionPlan {
-        self.plan_with_health(real_channel, idle, &vec![true; idle.len()])
-    }
-
-    /// [`Self::plan`] restricted to healthy channels: quarantined
-    /// channels (link-layer escalation) carry no traffic at all, so
-    /// they are skipped *without* counting toward `suppressed_busy` —
-    /// the obfuscator keeps covering every channel that still talks.
-    /// With an all-true mask this is exactly [`Self::plan`], keeping
-    /// fault-free runs bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `real_channel` is out of range of `idle`, or if the
-    /// masks disagree in length.
-    pub fn plan_with_health(
+    /// Decides whether channel `channel` gets a dummy pair for a real
+    /// request on `real_channel`, given whether `channel` is idle at
+    /// issue time and whether it is healthy. Quarantined channels
+    /// (link-layer escalation) carry no traffic at all, so they are
+    /// skipped *without* counting toward `suppressed_busy` — the
+    /// obfuscator keeps covering every channel that still talks.
+    pub fn injects(
         &mut self,
         real_channel: usize,
-        idle: &[bool],
-        healthy: &[bool],
-    ) -> InjectionPlan {
-        assert!(real_channel < idle.len(), "real channel out of range");
-        assert_eq!(idle.len(), healthy.len(), "one health flag per channel");
-        let mut inject = Vec::new();
-        for (ch, &is_idle) in idle.iter().enumerate() {
-            if ch == real_channel || !healthy[ch] {
-                continue;
-            }
-            match self.strategy {
-                ChannelStrategy::None => {}
-                ChannelStrategy::Unopt => inject.push(ch),
-                ChannelStrategy::Opt => {
-                    if is_idle {
-                        inject.push(ch);
-                    } else {
-                        self.suppressed_busy += 1;
-                    }
-                }
-            }
+        channel: usize,
+        idle: bool,
+        healthy: bool,
+    ) -> bool {
+        if channel == real_channel || !healthy {
+            return false;
         }
-        self.injected += inject.len() as u64;
-        InjectionPlan { inject }
+        let inject = match self.strategy {
+            ChannelStrategy::None => false,
+            ChannelStrategy::Unopt => true,
+            ChannelStrategy::Opt => {
+                self.suppressed_busy += u64::from(!idle);
+                idle
+            }
+        };
+        self.injected += u64::from(inject);
+        inject
     }
 }
 
@@ -111,26 +82,32 @@ mod tests {
     use super::*;
     use obfusmem_testkit as proptest;
 
+    /// The channels a real request on `real` injects on, every channel
+    /// healthy.
+    fn plan(o: &mut ChannelObfuscator, real: usize, idle: &[bool]) -> Vec<usize> {
+        (0..idle.len())
+            .filter(|&ch| o.injects(real, ch, idle[ch], true))
+            .collect()
+    }
+
     #[test]
     fn none_never_injects() {
         let mut o = ChannelObfuscator::new(ChannelStrategy::None);
-        assert!(o.plan(0, &[true, true, true, true]).inject.is_empty());
+        assert!(plan(&mut o, 0, &[true, true, true, true]).is_empty());
         assert_eq!(o.injected(), 0);
     }
 
     #[test]
     fn unopt_injects_everywhere_else() {
         let mut o = ChannelObfuscator::new(ChannelStrategy::Unopt);
-        let plan = o.plan(2, &[false, false, true, false]);
-        assert_eq!(plan.inject, vec![0, 1, 3]);
+        assert_eq!(plan(&mut o, 2, &[false, false, true, false]), vec![0, 1, 3]);
         assert_eq!(o.injected(), 3);
     }
 
     #[test]
     fn opt_skips_busy_channels() {
         let mut o = ChannelObfuscator::new(ChannelStrategy::Opt);
-        let plan = o.plan(0, &[true, false, true, false]);
-        assert_eq!(plan.inject, vec![2]);
+        assert_eq!(plan(&mut o, 0, &[true, false, true, false]), vec![2]);
         assert_eq!(o.injected(), 1);
         assert_eq!(o.suppressed_busy(), 2);
     }
@@ -139,7 +116,7 @@ mod tests {
     fn opt_on_fully_busy_system_injects_nothing() {
         // Observation 3: at high utilization few dummies are needed.
         let mut o = ChannelObfuscator::new(ChannelStrategy::Opt);
-        assert!(o.plan(1, &[false, false, false, false]).inject.is_empty());
+        assert!(plan(&mut o, 1, &[false, false, false, false]).is_empty());
         assert_eq!(o.suppressed_busy(), 3);
     }
 
@@ -151,7 +128,7 @@ mod tests {
             ChannelStrategy::Opt,
         ] {
             let mut o = ChannelObfuscator::new(strategy);
-            assert!(o.plan(0, &[true]).inject.is_empty());
+            assert!(plan(&mut o, 0, &[true]).is_empty());
         }
     }
 
@@ -163,9 +140,9 @@ mod tests {
         ) {
             for strategy in [ChannelStrategy::None, ChannelStrategy::Unopt, ChannelStrategy::Opt] {
                 let mut o = ChannelObfuscator::new(strategy);
-                let plan = o.plan(real, &idle);
-                proptest::prop_assert!(!plan.inject.contains(&real));
-                proptest::prop_assert!(plan.inject.iter().all(|&c| c < idle.len()));
+                let plan = plan(&mut o, real, &idle);
+                proptest::prop_assert!(!plan.contains(&real));
+                proptest::prop_assert!(plan.iter().all(|&c| c < idle.len()));
             }
         }
     }
@@ -174,7 +151,7 @@ mod tests {
     fn unopt_cost_grows_linearly_with_channels() {
         for n in [2usize, 4, 8] {
             let mut o = ChannelObfuscator::new(ChannelStrategy::Unopt);
-            o.plan(0, &vec![true; n]);
+            plan(&mut o, 0, &vec![true; n]);
             assert_eq!(o.injected(), n as u64 - 1);
         }
     }

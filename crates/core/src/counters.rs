@@ -6,7 +6,7 @@
 //! counter bumped (with all minors reset) when a minor overflows. The IV
 //! feeds AES to produce the one-time pad for the block's data at rest.
 
-use std::collections::HashMap;
+use obfusmem_sim::hash::FoldMap;
 
 /// Bytes per page for counter grouping (4 KiB).
 pub const PAGE_BYTES: u64 = 4096;
@@ -75,7 +75,7 @@ pub enum BumpOutcome {
 /// The counter store (the data the counter cache caches).
 #[derive(Debug, Default)]
 pub struct CounterStore {
-    pages: HashMap<u64, PageCounters>,
+    pages: FoldMap<u64, PageCounters>,
     major_overflows: u64,
 }
 

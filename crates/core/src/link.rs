@@ -318,11 +318,6 @@ impl FaultyLink {
         self.channels.get(channel).is_some_and(|c| c.quarantined)
     }
 
-    /// Health mask for the channel obfuscator (true = carries traffic).
-    pub fn healthy_mask(&self) -> Vec<bool> {
-        self.channels.iter().map(|c| !c.quarantined).collect()
-    }
-
     /// Lowest-indexed healthy channel, if any.
     pub fn first_healthy(&self) -> Option<usize> {
         self.channels.iter().position(|c| !c.quarantined)
@@ -1073,7 +1068,6 @@ mod tests {
         assert_eq!(link.first_healthy(), Some(1));
         assert!(link.stats().rekeys.get() >= 1);
         assert_eq!(link.stats().quarantines.get(), 1);
-        assert_eq!(link.healthy_mask(), vec![false, true]);
     }
 
     #[test]

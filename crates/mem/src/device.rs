@@ -22,8 +22,7 @@
 //!   the reorder window a real controller has. Call
 //!   [`PcmMemory::drain_queued`] at end of run to flush posted work.
 
-use std::collections::HashMap;
-
+use obfusmem_sim::hash::FoldMap;
 use obfusmem_sim::time::Time;
 
 use obfusmem_obs::metrics::{MetricsNode, Observable};
@@ -35,7 +34,7 @@ use crate::config::{BackendKind, MemConfig};
 use crate::energy::{EnergyModel, WearTracker};
 use crate::fault::{DeviceFaultKind, DeviceFaultPlan, DeviceFaultState};
 use crate::request::{AccessKind, BlockAddr, BlockData, BLOCK_BYTES};
-use crate::scheduler::{Completion, RequestId, ShardedFrFcfs};
+use crate::scheduler::{Completion, ShardedFrFcfs};
 
 /// Result of a device access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,10 +66,11 @@ fn channel_slot(channels: &mut [Channel], channel: usize) -> &mut Channel {
         .unwrap_or_else(|| panic!("channel {channel} out of range ({count} channels)"))
 }
 
-/// The channel-qualified bank key used for wear and activation
-/// accounting.
-fn bank_key(cfg: &MemConfig, channel: usize, d: &DecodedAddr) -> usize {
-    channel * 100 + d.rank * cfg.banks_per_rank + d.bank
+/// The device-wide flat bank of `channel`'s channel-local bank `bank`
+/// (`rank * banks_per_rank + bank`): the bank key of wear and activation
+/// accounting, equal to [`DecodedAddr::flat_bank`].
+fn flat_bank(cfg: &MemConfig, channel: usize, bank: usize) -> usize {
+    channel * cfg.ranks_per_channel * cfg.banks_per_rank + bank
 }
 
 /// The simulated PCM main memory.
@@ -78,13 +78,13 @@ fn bank_key(cfg: &MemConfig, channel: usize, d: &DecodedAddr) -> usize {
 pub struct PcmMemory {
     cfg: MemConfig,
     fabric: Fabric,
-    store: HashMap<BlockAddr, BlockData>,
+    store: FoldMap<BlockAddr, BlockData>,
     /// Device-fault overlay; `None` (the fault-free default) keeps every
     /// read on the pristine path, byte-identical to pre-fault builds.
     faults: Option<DeviceFaultState>,
-    /// Row activations per (channel-qualified bank, row) — the signal a
-    /// thermal side channel integrates (ObfusMem paper §6.2).
-    activations: HashMap<(usize, u64), u64>,
+    /// Row activations per (flat bank, row) — the signal a thermal side
+    /// channel integrates (ObfusMem paper §6.2).
+    activations: FoldMap<(usize, u64), u64>,
     wear: WearTracker,
     energy: EnergyModel,
     array_reads: u64,
@@ -109,9 +109,9 @@ impl PcmMemory {
         PcmMemory {
             cfg,
             fabric,
-            store: HashMap::new(),
+            store: FoldMap::default(),
             faults: None,
-            activations: HashMap::new(),
+            activations: FoldMap::default(),
             wear: WearTracker::new(),
             energy: EnergyModel::paper_relative(),
             array_reads: 0,
@@ -148,12 +148,13 @@ impl PcmMemory {
             cell_write_row,
         } = channel_slot(channels, decoded.channel).access(&self.cfg, at, decoded, kind);
         if let Some((bank, row)) = cell_write_row {
-            self.wear.record_write(decoded.channel * 100 + bank, row);
+            let bank = flat_bank(&self.cfg, decoded.channel, bank);
+            self.wear.record_write(bank, row);
             self.array_writes += 1;
         }
         if outcome != RowBufferOutcome::Hit {
             self.array_reads += 1; // row activation reads the array
-            let bank = bank_key(&self.cfg, decoded.channel, &decoded);
+            let bank = decoded.flat_bank(&self.cfg);
             *self.activations.entry((bank, decoded.row)).or_insert(0) += 1;
         }
         AccessResult {
@@ -179,43 +180,48 @@ impl PcmMemory {
         let Fabric::Queued(q) = &mut self.fabric else {
             unreachable!("reservation handled above")
         };
-        let tags: Vec<(usize, RequestId)> = addrs.iter().map(|&a| q.enqueue(at, a, kind)).collect();
-        let Some(&(_, first)) = tags.first() else {
+        let mut members = vec![0usize; self.cfg.channels];
+        let mut first = None;
+        for &a in addrs {
+            let (channel, id) = q.enqueue(at, a, kind);
+            first.get_or_insert(id);
+            members[channel] += 1;
+        }
+        let Some(first) = first else {
             return Vec::new();
         };
-        // Drive each channel until its batch members complete. FR-FCFS
-        // may service members out of enqueue order, so completions are
-        // harvested as they surface rather than demanded one by one. The
-        // batch's ids are consecutive, so a completion's offset from the
-        // first id is its result slot; posted work from other ids falls
-        // outside the table (its accounting still happens in the drain).
-        let mut results: Vec<Option<AccessResult>> = vec![None; tags.len()];
-        for (slot, &(channel, id)) in tags.iter().enumerate() {
-            if results[slot].is_none() {
-                let Fabric::Queued(q) = &mut self.fabric else {
-                    unreachable!("fabric cannot change mid-batch")
-                };
-                q.run_until_completed(channel, id);
-                self.collect_queued_events(|ch, c| {
-                    if let Some(r) = c.id.offset_from(first).and_then(|k| results.get_mut(k)) {
-                        *r = Some(AccessResult {
-                            complete_at: c.at,
-                            channel: ch,
-                            row_hit: c.row_hit,
-                        });
-                    }
-                });
-            }
+        // Drive each channel until its batch members complete. Nothing
+        // is enqueued meanwhile, so a channel's picks do not depend on
+        // when it runs, and each stops at its last member's completion.
+        for (channel, &count) in members.iter().enumerate() {
+            q.shard_mut(channel).run_until_batch_completed(first, count);
         }
+        // The batch's ids are consecutive, so a completion's offset from
+        // the first id is its result slot; posted work from other ids
+        // falls outside the table (its accounting still happens here).
+        let unset = AccessResult {
+            complete_at: Time::ZERO,
+            channel: usize::MAX,
+            row_hit: false,
+        };
+        let mut results = vec![unset; addrs.len()];
+        let mut filled = 0;
+        self.collect_queued_events(|channel, c| {
+            if let Some(r) = c.id.offset_from(first).and_then(|k| results.get_mut(k)) {
+                *r = AccessResult {
+                    complete_at: c.at,
+                    channel,
+                    row_hit: c.row_hit,
+                };
+                filled += 1;
+            }
+        });
+        assert_eq!(
+            filled,
+            addrs.len(),
+            "a batch request was serviced without a completion record"
+        );
         results
-            .into_iter()
-            .zip(&tags)
-            .map(|(r, (_, id))| {
-                r.unwrap_or_else(|| {
-                    panic!("batch request {id:?} serviced without a completion record")
-                })
-            })
-            .collect()
     }
 
     /// Fire-and-forget timing access whose completion nobody waits on
@@ -287,19 +293,19 @@ impl PcmMemory {
         let (wear, activations) = (&mut self.wear, &mut self.activations);
         let (array_reads, array_writes) = (&mut self.array_reads, &mut self.array_writes);
         q.drain_completions(|channel, c| {
+            let bank = c.decoded.flat_bank(cfg);
             if let Some(row) = c.evicted_row {
-                wear.record_write(bank_key(cfg, channel, &c.decoded), row);
+                wear.record_write(bank, row);
                 *array_writes += 1;
             }
             if c.outcome != RowBufferOutcome::Hit {
                 *array_reads += 1;
-                let bank = bank_key(cfg, channel, &c.decoded);
                 *activations.entry((bank, c.decoded.row)).or_insert(0) += 1;
             }
             each(channel, c);
         });
         q.drain_cell_writes(|channel, bank, row| {
-            wear.record_write(channel * 100 + bank, row);
+            wear.record_write(flat_bank(cfg, channel, bank), row);
             *array_writes += 1;
         });
     }
@@ -527,7 +533,9 @@ impl Observable for PcmMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::RequestId;
     use obfusmem_testkit as proptest;
+    use std::collections::HashMap;
 
     fn mem() -> PcmMemory {
         PcmMemory::new(MemConfig::table2())
@@ -800,6 +808,47 @@ mod tests {
         }
         let addrs: Vec<u64> = m.stored_addrs().iter().map(|a| a.as_u64()).collect();
         assert_eq!(addrs, vec![0x0, 0x40, 0x1000, 0x8000]);
+    }
+
+    /// Regression: wear and activations were keyed by `channel * 100 +
+    /// rank * banks_per_rank + bank`, so with more than 100 banks per
+    /// channel channel 0's rank 6 bank 4 and channel 1's rank 0 bank 0
+    /// both got key 100 and shared rows. Keys are now flat banks.
+    #[test]
+    fn wear_and_activations_keep_wide_channels_apart() {
+        for backend in [BackendKind::Reservation, BackendKind::Queued] {
+            let cfg = MemConfig {
+                ranks_per_channel: 8,
+                banks_per_rank: 16,
+                ..MemConfig::table2().with_channels(2)
+            }
+            .with_backend(backend);
+            let mut m = PcmMemory::new(cfg.clone());
+            let addr = |channel, rank, bank, row| {
+                let d = DecodedAddr {
+                    channel,
+                    rank,
+                    bank,
+                    row,
+                    column: 0,
+                };
+                crate::addr::encode(&cfg, &d)
+            };
+            let mut t = Time::ZERO;
+            for (channel, rank, bank) in [(0, 6, 4), (1, 0, 0)] {
+                // Dirty row 7, then evict it by opening row 9.
+                t = m
+                    .access(t, addr(channel, rank, bank, 7), AccessKind::Write)
+                    .complete_at;
+                t = m
+                    .access(t, addr(channel, rank, bank, 9), AccessKind::Read)
+                    .complete_at;
+            }
+            assert_eq!(m.wear().total_writes(), 2, "{backend:?}");
+            assert_eq!(m.wear().rows_touched(), 2, "{backend:?}");
+            assert_eq!(m.wear().max_row_writes(), 1, "{backend:?}");
+            assert_eq!(m.activation_counts(), vec![1; 4], "{backend:?}");
+        }
     }
 
     /// Posted work from other ids completes mid-batch: each batch result

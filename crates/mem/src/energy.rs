@@ -10,7 +10,7 @@
 //! [`EnergyModel`] turns array-operation counts into energy; [`WearTracker`]
 //! tracks per-row write counts and projects lifetime.
 
-use std::collections::HashMap;
+use obfusmem_sim::hash::FoldMap;
 
 /// Relative (or absolute, if you pass Joules) energy costs of PCM array
 /// operations at block granularity.
@@ -49,7 +49,7 @@ impl Default for EnergyModel {
 /// about *total* and *maximum* write counts, which this captures directly.
 #[derive(Debug, Clone, Default)]
 pub struct WearTracker {
-    writes: HashMap<(usize, u64), u64>,
+    writes: FoldMap<(usize, u64), u64>,
     total_writes: u64,
 }
 

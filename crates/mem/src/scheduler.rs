@@ -124,18 +124,31 @@ impl SchedulerStats {
 }
 
 /// A bank's FR-FCFS issue choice: the front of one of its lanes.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Candidate {
-    bank: usize,
-    lane: usize,
     start: Time,
-    row_hit: bool,
-    class: u8,
     arrival: Time,
     id: RequestId,
+    lane: u32,
+    /// The two middle priority keys in one: `!row_hit` above the class.
+    tie: u16,
 }
 
 impl Candidate {
+    /// Stands for "nothing pending": loses to every real candidate,
+    /// whose `tie` is at most `0x1FF`.
+    const NONE: Candidate = Candidate {
+        start: NEVER,
+        arrival: NEVER,
+        id: RequestId(u64::MAX),
+        lane: u32::MAX,
+        tie: u16::MAX,
+    };
+
+    fn is_some(&self) -> bool {
+        self.tie != u16::MAX
+    }
+
     /// FR-FCFS priority, the tuple `(start, !row_hit, class, arrival,
     /// id)`: earlier start wins; ties prefer row hits, then higher
     /// traffic class (lower number), then age, then enqueue order (ids
@@ -143,15 +156,16 @@ impl Candidate {
     /// strict total order and any correct minimum is the same pick. With
     /// every request at class 0 — all legacy call sites — the class key
     /// is inert and the order is exactly the classic FR-FCFS one.
+    ///
+    /// Every key is compared without short-circuiting: which key
+    /// decides depends on the data, so a branch per key would mispredict.
     fn beats(&self, other: &Candidate) -> bool {
-        (self.start, !self.row_hit, self.class, self.arrival, self.id)
-            < (
-                other.start,
-                !other.row_hit,
-                other.class,
-                other.arrival,
-                other.id,
-            )
+        let (s, o) = (self, other);
+        (s.start < o.start)
+            | ((s.start == o.start)
+                & ((s.tie < o.tie)
+                    | ((s.tie == o.tie)
+                        & ((s.arrival < o.arrival) | ((s.arrival == o.arrival) & (s.id < o.id))))))
     }
 }
 
@@ -206,9 +220,14 @@ impl BankQueue {
                 self.lanes.last_mut().expect("just pushed")
             }
         };
+        // Arrivals mostly come in order, so the back is the usual slot.
         let key = (entry.arrival, entry.id);
-        let pos = lane.entries.partition_point(|e| (e.arrival, e.id) <= key);
-        lane.entries.insert(pos, entry);
+        if lane.entries.back().is_none_or(|e| (e.arrival, e.id) <= key) {
+            lane.entries.push_back(entry);
+        } else {
+            let pos = lane.entries.partition_point(|e| (e.arrival, e.id) <= key);
+            lane.entries.insert(pos, entry);
+        }
     }
 
     /// Closes emptied lanes, returning their buffers to `spare`.
@@ -225,53 +244,25 @@ impl BankQueue {
 
     /// This bank's tournament leaf: the best lane front, and the oldest
     /// pending arrival.
-    fn leaf(&self, index: usize) -> Node {
+    fn leaf(&self) -> (Candidate, Time) {
         let busy = self.bank.busy_until();
         let open = self.bank.open_row();
-        let mut node = Node::EMPTY;
+        let (mut best, mut oldest) = (Candidate::NONE, NEVER);
         for (lane, l) in self.lanes.iter().enumerate() {
             let front = &l.entries[0];
-            node.oldest = node.oldest.min(front.arrival);
+            oldest = oldest.min(front.arrival);
             let c = Candidate {
-                bank: index,
-                lane,
                 start: front.arrival.max(busy),
-                row_hit: open == Some(l.row),
-                class: l.class,
                 arrival: front.arrival,
                 id: front.id,
+                lane: u32::try_from(lane).expect("lane count fits in u32"),
+                tie: u16::from(open != Some(l.row)) << 8 | u16::from(l.class),
             };
-            if node.best.is_none_or(|b| c.beats(&b)) {
-                node.best = Some(c);
+            if c.beats(&best) {
+                best = c;
             }
         }
-        node
-    }
-}
-
-/// A node of the channel's tournament over banks: the best candidate and
-/// the oldest pending arrival among the banks below it.
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    best: Option<Candidate>,
-    oldest: Time,
-}
-
-impl Node {
-    const EMPTY: Node = Node {
-        best: None,
-        oldest: NEVER,
-    };
-
-    fn merge(self, other: Node) -> Node {
-        let best = match (self.best, other.best) {
-            (Some(a), Some(b)) => Some(if b.beats(&a) { b } else { a }),
-            (a, b) => a.or(b),
-        };
-        Node {
-            best,
-            oldest: self.oldest.min(other.oldest),
-        }
+        (best, oldest)
     }
 }
 
@@ -283,10 +274,16 @@ pub struct FrFcfsScheduler {
     banks: Vec<BankQueue>,
     /// Banks changed by an enqueue since the last pick.
     stale: Vec<usize>,
-    /// Tournament over the banks' leaves: node 1 is the root, node `k`
-    /// has children `2k` and `2k + 1`, and bank `b`'s leaf is node
-    /// `tree.len() / 2 + b`.
-    tree: Vec<Node>,
+    /// The tournament's leaves: bank `b`'s best lane front, or
+    /// [`Candidate::NONE`]. Padded to a power of two.
+    keys: Vec<Candidate>,
+    /// The tournament, as a heap over `keys`: node 1 is the root, node
+    /// `k` has children `2k` and `2k + 1`, and bank `b`'s leaf is node
+    /// `keys.len() + b`. Each node holds the bank whose key wins below it.
+    winners: Vec<u32>,
+    /// The same heap over each bank's oldest pending arrival, each node
+    /// holding the minimum below it.
+    oldest: Vec<Time>,
     /// Emptied lane buffers, reused by the next lane a bank opens.
     spare: Vec<VecDeque<QueueEntry>>,
     pending_count: usize,
@@ -326,12 +323,23 @@ impl FrFcfsScheduler {
             cfg.channels
         );
         let bank_count = cfg.ranks_per_channel * cfg.banks_per_rank;
+        let width = bank_count.next_power_of_two();
+        // Every key starts as NONE, so any leaf may stand for a subtree;
+        // take its leftmost.
+        let mut winners: Vec<u32> = (0..2 * width)
+            .map(|node| u32::try_from(node.saturating_sub(width)).expect("bank count fits in u32"))
+            .collect();
+        for node in (1..width).rev() {
+            winners[node] = winners[2 * node];
+        }
         FrFcfsScheduler {
             cfg,
             channel,
             banks: (0..bank_count).map(|_| BankQueue::new()).collect(),
             stale: Vec::new(),
-            tree: vec![Node::EMPTY; 2 * bank_count.next_power_of_two()],
+            keys: vec![Candidate::NONE; width],
+            winners,
+            oldest: vec![NEVER; 2 * width],
             spare: Vec::new(),
             pending_count: 0,
             next_id: 0,
@@ -499,6 +507,27 @@ impl FrFcfsScheduler {
         );
     }
 
+    /// Services requests (in FR-FCFS order, which may put others first)
+    /// until `count` requests with ids from `first` on have completed:
+    /// a batch enqueued back to back, with nothing enqueued since.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queue empties first — the caller miscounted.
+    pub fn run_until_batch_completed(&mut self, first: RequestId, count: usize) {
+        // Horizon only bounds pick *starts*, so the far value is safe.
+        let horizon = Time::from_ps(u64::MAX);
+        for _ in 0..count {
+            while self.service_next(horizon).unwrap_or_else(|| {
+                panic!(
+                    "batch from {first:?} is not pending on channel {}",
+                    self.channel
+                )
+            }) < first
+            {}
+        }
+    }
+
     /// Re-evaluates the banks enqueued to since the last pick.
     fn settle(&mut self) {
         while let Some(index) = self.stale.pop() {
@@ -507,13 +536,42 @@ impl FrFcfsScheduler {
         }
     }
 
-    /// Recomputes bank `index`'s leaf and replays its path to the root.
+    /// Recomputes bank `index`'s leaf and replays its paths to the root.
+    ///
+    /// The winner of the replay so far rides in locals, so no node just
+    /// written is read back. Each replay stops at the first node that
+    /// keeps its value: every node above it was decided by the same
+    /// children. A node that keeps a winner other than this bank keeps
+    /// its value; one this bank wins must go on, since its key moved.
     fn update_leaf(&mut self, index: usize) {
-        let mut node = self.tree.len() / 2 + index;
-        self.tree[node] = self.banks[index].leaf(index);
+        let width = self.keys.len();
+        let (key, oldest) = self.banks[index].leaf();
+
+        let bank = self.winners[width + index];
+        self.keys[index] = key;
+        let (mut node, mut winner, mut best) = (width + index, bank, key);
         while node > 1 {
+            let rival = self.winners[node ^ 1];
+            let rival_key = self.keys[rival as usize];
+            if rival_key.beats(&best) {
+                (winner, best) = (rival, rival_key);
+            }
             node /= 2;
-            self.tree[node] = self.tree[2 * node].merge(self.tree[2 * node + 1]);
+            if self.winners[node] == winner && winner != bank {
+                break;
+            }
+            self.winners[node] = winner;
+        }
+
+        let mut node = width + index;
+        let mut min = oldest;
+        while self.oldest[node] != min {
+            self.oldest[node] = min;
+            if node == 1 {
+                break;
+            }
+            min = min.min(self.oldest[node ^ 1]);
+            node /= 2;
         }
     }
 
@@ -523,16 +581,20 @@ impl FrFcfsScheduler {
         // The root holds the earliest-starting candidate, so if it cannot
         // start by `until`, nothing can.
         self.settle();
-        let pick = self.tree[1].best.filter(|c| c.start <= until)?;
-        let bank_index = pick.bank;
+        let bank_index = self.winners[1] as usize;
+        let pick = self.keys[bank_index];
+        if !pick.is_some() || pick.start > until {
+            return None;
+        }
+        let lane_index = pick.lane as usize;
         let bq = &mut self.banks[bank_index];
-        let lane = &mut bq.lanes[pick.lane];
+        let lane = &mut bq.lanes[lane_index];
         let entry = lane
             .entries
             .pop_front()
             .expect("a candidate is its lane's front");
         if lane.entries.is_empty() {
-            self.spare.push(bq.lanes.swap_remove(pick.lane).entries);
+            self.spare.push(bq.lanes.swap_remove(lane_index).entries);
         }
         self.pending_count -= 1;
 
@@ -624,9 +686,7 @@ impl FrFcfsScheduler {
         // are keyed by row, so only this bank's lanes need testing.
         let bq = &mut self.banks[bank_index];
         let open_row = bq.bank.open_row();
-        let same_row_waiting = bq.lanes.iter().any(|l| Some(l.row) == open_row);
-        let other_row_waiting = bq.lanes.iter().any(|l| Some(l.row) != open_row);
-        if !same_row_waiting && other_row_waiting {
+        if !bq.lanes.is_empty() && bq.lanes.iter().all(|l| Some(l.row) != open_row) {
             bq.bank.close(&self.cfg, complete);
             if let Some(row) = bq.bank.take_evicted_row() {
                 self.cell_writes.push((bank_index, row));
@@ -637,7 +697,7 @@ impl FrFcfsScheduler {
         // FIFO-violation accounting: did an older request remain? The
         // root caches the oldest pending arrival across every bank.
         self.update_leaf(bank_index);
-        if self.tree[1].oldest < entry.arrival {
+        if self.oldest[1] < entry.arrival {
             self.stats.reordered.incr();
         }
 

@@ -49,6 +49,7 @@ use obfusmem_sim::time::Time;
 
 use crate::path_oram::{OramConfig, PathOram};
 use crate::recursion::posmap_chain;
+use crate::tree::path_node;
 use crate::OramError;
 
 /// Harness-selectable ORAM backend mode (`--oram-mode`).
@@ -92,23 +93,6 @@ impl OramMode {
     }
 }
 
-/// Root-to-leaf node indices of `leaf`'s path in a tree of `levels`
-/// edge-levels (standalone so the timing overlay can walk posmap-level
-/// trees that exist only as geometry).
-pub(crate) fn path_nodes(levels: u32, leaf: u64) -> Vec<u64> {
-    let mut nodes = Vec::with_capacity(levels as usize + 1);
-    let mut node = (1u64 << levels) - 1 + leaf;
-    loop {
-        nodes.push(node);
-        if node == 0 {
-            break;
-        }
-        node = (node - 1) / 2;
-    }
-    nodes.reverse();
-    nodes
-}
-
 /// Disjoint physical base addresses for the data tree and each posmap
 /// level, row-aligned so recursion levels land in their own rows/banks.
 pub(crate) fn region_bases(data: &OramConfig, chain: &[OramConfig]) -> Vec<u64> {
@@ -128,6 +112,14 @@ pub(crate) fn region_bases(data: &OramConfig, chain: &[OramConfig]) -> Vec<u64> 
     bases
 }
 
+/// Issues `addrs` to `mem` as one batch at `at`; returns the last
+/// completion.
+fn issue(mem: &mut PcmMemory, at: Time, addrs: &[u64], kind: AccessKind) -> Time {
+    mem.access_batch(at, addrs, kind)
+        .iter()
+        .fold(at, |t, r| t.max(r.complete_at))
+}
+
 /// Path ORAM over a timed PCM device, issued serially or co-designed
 /// with the controller (see the module docs).
 #[derive(Debug)]
@@ -140,6 +132,9 @@ pub struct CodesignOram {
     chain: Vec<OramConfig>,
     /// `bases[0]` is the data tree; `bases[1..]` the posmap levels.
     bases: Vec<u64>,
+    /// The slot addresses of the access in flight: the data path, then
+    /// each posmap level's path. Kept between accesses for its buffer.
+    slots: Vec<u64>,
     /// The stash/commit port: the functional update serializes here.
     /// Co-designed, it frees at the *read* barrier (write-backs are
     /// posted); serial, at the last write-back.
@@ -204,6 +199,7 @@ impl CodesignOram {
             serial,
             chain,
             bases,
+            slots: Vec::new(),
             port_free: Time::ZERO,
             latency: RunningStats::new(),
             reads_issued: 0,
@@ -250,14 +246,6 @@ impl CodesignOram {
         self.mem.drain_queued();
     }
 
-    /// Issues `addrs` as one batch at `at`; returns the last completion.
-    fn issue(&mut self, at: Time, addrs: &[u64], kind: AccessKind) -> Time {
-        self.mem
-            .access_batch(at, addrs, kind)
-            .iter()
-            .fold(at, |t, r| t.max(r.complete_at))
-    }
-
     /// Performs one timed logical access; returns when the data is
     /// served (co-designed: the phase-1 read barrier; serial: the last
     /// write-back).
@@ -268,49 +256,52 @@ impl CodesignOram {
         // the barrier. Callers reduce ids modulo `blocks`, so a failure
         // can only mean stash overflow under a hard bound — degrade to
         // an untimed no-op instead of panicking mid-simulation.
-        let Ok(batch) = self.oram.access_path_concurrent(logical_block, None) else {
+        let mut slots = std::mem::take(&mut self.slots);
+        let Ok((_, leaf)) = self.oram.access_path(logical_block, None, &mut slots) else {
+            self.slots = slots;
             return start;
         };
+        let data_slots = slots.len();
 
-        // The data path, then one path per posmap recursion level (the
-        // level's leaf is derived from the observed data leaf, so the
-        // overlay is deterministic).
-        let mut paths = vec![batch.slot_addrs];
+        // Then one path per posmap recursion level (the level's leaf is
+        // derived from the observed data leaf, so the overlay is
+        // deterministic).
         for (ccfg, &base) in self.chain.iter().zip(&self.bases[1..]) {
-            let leaf = batch.leaf % (1u64 << ccfg.levels);
+            let level_leaf = leaf % (1u64 << ccfg.levels);
             let z = ccfg.bucket_size as u64;
-            paths.push(
-                path_nodes(ccfg.levels, leaf)
-                    .into_iter()
-                    .flat_map(|node| (0..z).map(move |slot| base + (node * z + slot) * 64))
-                    .collect(),
-            );
+            for depth in 0..=ccfg.levels {
+                let node = path_node(ccfg.levels, level_leaf, depth);
+                slots.extend((0..z).map(|slot| base + (node * z + slot) * 64));
+            }
         }
-        let slots: u64 = paths.iter().map(|p| p.len() as u64).sum();
-        self.reads_issued += slots;
-        self.writes_issued += slots;
+        self.reads_issued += slots.len() as u64;
+        self.writes_issued += slots.len() as u64;
 
         let done = if self.serial {
             // One port: each posmap level, then the data path, is read
             // and written back before the next path starts.
+            let (data, mut levels) = slots.split_at(data_slots);
             let mut t = start;
-            for addrs in paths[1..].iter().chain(&paths[..1]) {
-                let reads_done = self.issue(t, addrs, AccessKind::Read);
-                t = self.issue(reads_done, addrs, AccessKind::Write);
+            for ccfg in &self.chain {
+                let (path, rest) = levels.split_at((ccfg.levels as usize + 1) * ccfg.bucket_size);
+                let reads_done = issue(&mut self.mem, t, path, AccessKind::Read);
+                t = issue(&mut self.mem, reads_done, path, AccessKind::Write);
+                levels = rest;
             }
-            t
+            let reads_done = issue(&mut self.mem, t, data, AccessKind::Read);
+            issue(&mut self.mem, reads_done, data, AccessKind::Write)
         } else {
             // Phase 1: batched issue into the per-bank queues; the latest
             // read completion is the barrier the stash commit waits on.
             // Phase 2: write-backs are posted at the barrier and drain in
             // the background — the next access's reads overlap them.
-            let addrs = paths.concat();
-            let reads_done = self.issue(start, &addrs, AccessKind::Read);
-            for &a in &addrs {
+            let reads_done = issue(&mut self.mem, start, &slots, AccessKind::Read);
+            for &a in &slots {
                 self.mem.access_posted(reads_done, a, AccessKind::Write);
             }
             reads_done
         };
+        self.slots = slots;
 
         self.port_free = done;
         self.latency.record(done.since(start).as_ns_f64());

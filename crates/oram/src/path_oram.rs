@@ -274,6 +274,29 @@ impl PathOram {
         id: u64,
         write: Option<BlockData>,
     ) -> Result<PathBatch, OramError> {
+        let mut slot_addrs = Vec::new();
+        let (data, leaf) = self.access_path(id, write, &mut slot_addrs)?;
+        Ok(PathBatch {
+            data,
+            leaf,
+            slot_addrs,
+        })
+    }
+
+    /// [`PathOram::access_path_concurrent`] into a caller's buffer:
+    /// performs the access, replaces `slot_addrs`' contents with the
+    /// path's `(L+1)·Z` slot addresses (root first), and returns the
+    /// block's data and the leaf whose path was touched.
+    ///
+    /// # Errors
+    ///
+    /// As [`PathOram::access_path_concurrent`].
+    pub fn access_path(
+        &mut self,
+        id: u64,
+        write: Option<BlockData>,
+        slot_addrs: &mut Vec<u64>,
+    ) -> Result<(BlockData, u64), OramError> {
         if id >= self.cfg.blocks {
             return Err(OramError::BlockOutOfRange {
                 block: id,
@@ -282,18 +305,13 @@ impl PathOram {
         }
         let observed_leaf = self.posmap.leaf_of(id);
         let data = self.access(id, write)?;
-        let mut slot_addrs =
-            Vec::with_capacity((self.cfg.levels as usize + 1) * self.cfg.bucket_size);
-        for &node in &self.tree.path_nodes(observed_leaf) {
-            for slot in 0..self.cfg.bucket_size {
-                slot_addrs.push(self.tree.slot_address(node, slot));
-            }
+        slot_addrs.clear();
+        for depth in 0..=self.cfg.levels {
+            let node = self.tree.path_node(observed_leaf, depth);
+            slot_addrs
+                .extend((0..self.cfg.bucket_size).map(|slot| self.tree.slot_address(node, slot)));
         }
-        Ok(PathBatch {
-            data,
-            leaf: observed_leaf,
-            slot_addrs,
-        })
+        Ok((data, observed_leaf))
     }
 
     /// The unified access: read path, remap, serve, evict path.
@@ -307,15 +325,15 @@ impl PathOram {
         // 1. PosMap lookup + immediate remap to a fresh random leaf.
         let old_leaf = self.posmap.remap(id, &mut self.rng);
         let new_leaf = self.posmap.leaf_of(id);
-        let mut out = Err(OramError::BadConfig("unreachable".into()));
+        let mut out = [0u8; 64];
         self.access_at_leaves(id, old_leaf, new_leaf, |data| {
             if let Some(new_data) = write {
                 *data = new_data;
             }
-            out = Ok(*data);
+            out = *data;
         });
         self.relieve_stash_pressure()?;
-        out
+        Ok(out)
     }
 
     /// With a hard bound configured, runs up to
@@ -342,23 +360,23 @@ impl PathOram {
     fn background_evict_pass(&mut self) {
         self.metrics.background_evictions += 1;
         let leaf = self.rng.below(self.tree.leaf_count());
-        let path = self.tree.path_nodes(leaf);
-        for &node in &path {
-            self.metrics.blocks_read += self.cfg.bucket_size as u64;
-            for block in self.tree.drain_bucket(node) {
-                self.stash.insert(block);
-            }
-        }
-        for &node in path.iter().rev() {
-            let tree_ref = &self.tree;
-            let eligible = self.stash.take_eligible(self.cfg.bucket_size, |b| {
-                tree_ref.node_on_path(node, b.leaf)
-            });
-            let placed = eligible.len() as u64;
-            self.metrics.blocks_written += placed;
-            self.metrics.dummy_writes += self.cfg.bucket_size as u64 - placed;
-            self.tree.fill_bucket(node, eligible);
-        }
+        self.read_serve_evict(leaf, |_| {});
+    }
+
+    /// Reads every bucket on `leaf`'s path into the stash, runs
+    /// `serve` on the stash, then greedily writes the path back, leaf
+    /// upward, counting every slot read and written.
+    fn read_serve_evict(&mut self, leaf: u64, serve: impl FnOnce(&mut Stash)) {
+        // Reading a bucket reads all Z slots (real + dummy ciphertext).
+        let slots = (u64::from(self.cfg.levels) + 1) * self.cfg.bucket_size as u64;
+        self.metrics.blocks_read += slots;
+        self.tree.read_path(leaf, &mut self.stash);
+        serve(&mut self.stash);
+        let mut placed = 0;
+        self.tree
+            .write_path(leaf, &mut self.stash, |_, count| placed += count as u64);
+        self.metrics.blocks_written += placed;
+        self.metrics.dummy_writes += slots - placed;
     }
 
     /// Access with caller-supplied leaves, for externally managed position
@@ -381,18 +399,11 @@ impl PathOram {
         assert!(new_leaf < self.tree.leaf_count(), "new leaf out of range");
         self.metrics.accesses += 1;
 
-        // 2. Read every bucket on the old path into the stash.
-        let path = self.tree.path_nodes(old_leaf);
-        for &node in &path {
-            // Reading a bucket reads all Z slots (real + dummy ciphertext).
-            self.metrics.blocks_read += self.cfg.bucket_size as u64;
-            for block in self.tree.drain_bucket(node) {
-                self.stash.insert(block);
-            }
-        }
-
-        // 3. Serve the request from the stash.
-        match self.stash.get_mut(id) {
+        // 2. Read every bucket on the old path into the stash; 3. serve
+        // the request from the stash; 4. greedy eviction, leaf upward: a
+        // stash block may go into a bucket iff that bucket is on the
+        // block's (current) path.
+        self.read_serve_evict(old_leaf, |stash| match stash.get_mut(id) {
             Some(block) => {
                 block.leaf = new_leaf;
                 mutate(&mut block.data);
@@ -401,26 +412,13 @@ impl PathOram {
                 // First touch: materialize the block.
                 let mut data = [0u8; 64];
                 mutate(&mut data);
-                self.stash.insert(OramBlock {
+                stash.insert(OramBlock {
                     id,
                     leaf: new_leaf,
                     data,
                 });
             }
-        };
-
-        // 4. Greedy eviction, leaf upward: a stash block may go into a
-        // bucket iff that bucket is on the block's (current) path.
-        for &node in path.iter().rev() {
-            let tree_ref = &self.tree;
-            let eligible = self.stash.take_eligible(self.cfg.bucket_size, |b| {
-                tree_ref.node_on_path(node, b.leaf)
-            });
-            let placed = eligible.len() as u64;
-            self.metrics.blocks_written += placed;
-            self.metrics.dummy_writes += self.cfg.bucket_size as u64 - placed;
-            self.tree.fill_bucket(node, eligible);
-        }
+        });
 
         if self.stash.len() > self.stash_soft_bound {
             self.metrics.stash_soft_overflows += 1;

@@ -215,12 +215,9 @@ impl RingOram {
             state.reads_since_shuffle += 1;
             slots_consumed += 1;
             // Pull the real block out if this bucket holds it.
-            let mut bucket = self.tree.drain_bucket(node);
-            if let Some(pos) = bucket.iter().position(|b| b.id == id) {
-                let block = bucket.swap_remove(pos);
+            if let Some(block) = self.tree.take_block(node, id) {
                 self.stash.insert(block);
             }
-            self.tree.fill_bucket(node, bucket);
         }
         // Wire transfer: one block with the XOR technique, else one block
         // per bucket.
@@ -298,25 +295,18 @@ impl RingOram {
         let leaf = self.evict_cursor % self.tree.leaf_count();
         // Bit-reversed order spreads evictions uniformly over subtrees.
         self.evict_cursor = self.evict_cursor.wrapping_add(1);
-        let path = self.tree.path_nodes(leaf);
-
-        for &node in &path {
-            let bucket = self.tree.drain_bucket(node);
-            self.metrics.evict_blocks += bucket.len() as u64; // reads
-            for block in bucket {
-                self.stash.insert(block);
-            }
-        }
-        for &node in path.iter().rev() {
-            let tree_ref = &self.tree;
-            let eligible = self
-                .stash
-                .take_eligible(self.cfg.z, |b| tree_ref.node_on_path(node, b.leaf));
-            self.tree.fill_bucket(node, eligible);
-            // Every slot (real + dummy) is rewritten with fresh ciphertext.
-            self.metrics.evict_blocks += (self.cfg.z + self.cfg.s) as u64;
-            self.bucket_state.insert(node, BucketState::default());
-        }
+        // Reads, then every slot (real + dummy) rewritten with fresh
+        // ciphertext.
+        self.metrics.evict_blocks += self.tree.read_path(leaf, &mut self.stash) as u64;
+        let (metrics, bucket_state, slots) = (
+            &mut self.metrics,
+            &mut self.bucket_state,
+            (self.cfg.z + self.cfg.s) as u64,
+        );
+        self.tree.write_path(leaf, &mut self.stash, |node, _| {
+            metrics.evict_blocks += slots;
+            bucket_state.insert(node, BucketState::default());
+        });
     }
 
     /// Verifies the path invariant for all resident blocks.

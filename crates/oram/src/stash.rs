@@ -60,23 +60,24 @@ impl Stash {
         self.blocks.iter_mut().find(|b| b.id == id)
     }
 
-    /// Removes and returns up to `max` blocks satisfying `eligible`,
-    /// preferring blocks that have waited longest (front of the store).
+    /// Moves up to `max` blocks satisfying `eligible` onto the end of
+    /// `out`, preferring blocks that have waited longest (front of the
+    /// store). The blocks left behind keep their order.
     pub fn take_eligible(
         &mut self,
         max: usize,
         mut eligible: impl FnMut(&OramBlock) -> bool,
-    ) -> Vec<OramBlock> {
-        let mut taken = Vec::with_capacity(max);
-        let mut i = 0;
-        while i < self.blocks.len() && taken.len() < max {
-            if eligible(&self.blocks[i]) {
-                taken.push(self.blocks.remove(i));
-            } else {
-                i += 1;
+        out: &mut Vec<OramBlock>,
+    ) {
+        let mut taken = 0;
+        self.blocks.retain(|b| {
+            let take = taken < max && eligible(b);
+            if take {
+                out.push(*b);
+                taken += 1;
             }
-        }
-        taken
+            !take
+        });
     }
 
     /// Errors if occupancy exceeds `bound` (the hardware stash size).
@@ -133,16 +134,25 @@ mod tests {
         assert_eq!(s.get(1).unwrap().data[0], 0xFF);
     }
 
+    /// Every eligible block taken under a budget.
+    fn take(s: &mut Stash, max: usize, eligible: impl FnMut(&OramBlock) -> bool) -> Vec<OramBlock> {
+        let mut taken = Vec::new();
+        s.take_eligible(max, eligible, &mut taken);
+        taken
+    }
+
     #[test]
     fn take_eligible_respects_predicate_and_max() {
         let mut s = Stash::new();
         for i in 0..10 {
             s.insert(block(i, i % 2));
         }
-        let taken = s.take_eligible(3, |b| b.leaf == 0);
-        assert_eq!(taken.len(), 3);
-        assert!(taken.iter().all(|b| b.leaf == 0));
+        let taken = take(&mut s, 3, |b| b.leaf == 0);
+        assert_eq!(taken.iter().map(|b| b.id).collect::<Vec<_>>(), [0, 2, 4]);
         assert_eq!(s.len(), 7);
+        // The rest keep their order.
+        let rest: Vec<u64> = s.iter().map(|b| b.id).collect();
+        assert_eq!(rest, [1, 3, 5, 6, 7, 8, 9]);
     }
 
     #[test]
@@ -150,7 +160,7 @@ mod tests {
         let mut s = Stash::new();
         s.insert(block(10, 0));
         s.insert(block(11, 0));
-        let taken = s.take_eligible(1, |_| true);
+        let taken = take(&mut s, 1, |_| true);
         assert_eq!(taken[0].id, 10);
     }
 
@@ -165,8 +175,8 @@ mod tests {
         assert!(s.get(0).is_none());
         assert!(s.get_mut(0).is_none());
         assert!(s.iter().next().is_none());
-        assert!(s.take_eligible(4, |_| true).is_empty());
-        assert!(s.take_eligible(0, |_| true).is_empty());
+        assert!(take(&mut s, 4, |_| true).is_empty());
+        assert!(take(&mut s, 0, |_| true).is_empty());
         assert!(s.check_bound(0).is_ok());
     }
 
@@ -176,7 +186,7 @@ mod tests {
     fn zero_budget_take_is_a_no_op() {
         let mut s = Stash::new();
         s.insert(block(1, 0));
-        assert!(s.take_eligible(0, |_| true).is_empty());
+        assert!(take(&mut s, 0, |_| true).is_empty());
         assert_eq!(s.len(), 1);
     }
 
@@ -186,7 +196,7 @@ mod tests {
         for i in 0..5 {
             s.insert(block(i, 0));
         }
-        s.take_eligible(5, |_| true);
+        take(&mut s, 5, |_| true);
         assert_eq!(s.len(), 0);
         assert_eq!(s.max_occupancy(), 5);
         assert!(s.check_bound(5).is_ok());

@@ -7,11 +7,15 @@
 //!
 //! Buckets are stored sparsely (only nodes that ever held a block allocate
 //! memory) so the paper-scale L = 24 geometry is representable without a
-//! 9 GB allocation.
+//! 9 GB allocation. A bucket keeps its buffer when emptied, so a path
+//! access allocates nothing once its buckets have been filled before.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 use obfusmem_mem::request::BlockData;
+use obfusmem_sim::hash::FoldMap;
+
+use crate::stash::Stash;
 
 /// A real block stored in the tree or stash: logical id, its assigned
 /// leaf, and the payload.
@@ -31,7 +35,14 @@ pub struct BucketTree {
     levels: u32,
     bucket_size: usize,
     /// node index → occupied slots (≤ bucket_size).
-    buckets: HashMap<u64, Vec<OramBlock>>,
+    buckets: FoldMap<u64, Vec<OramBlock>>,
+}
+
+/// Node index at `depth` (0 = root) on the path from the root to `leaf`
+/// in a tree of `levels` edge-levels: the leaf's 1-based heap index
+/// `2^levels + leaf`, shifted up to that depth.
+pub(crate) fn path_node(levels: u32, leaf: u64, depth: u32) -> u64 {
+    ((leaf | 1 << levels) >> (levels - depth)) - 1
 }
 
 impl BucketTree {
@@ -48,7 +59,7 @@ impl BucketTree {
         BucketTree {
             levels,
             bucket_size,
-            buckets: HashMap::new(),
+            buckets: FoldMap::default(),
         }
     }
 
@@ -87,38 +98,35 @@ impl BucketTree {
         (1u64 << self.levels) - 1 + leaf
     }
 
+    /// Node index at `depth` (0 = root, `levels` = the leaf) on the path
+    /// root → `leaf`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `leaf` is out of range or `depth` exceeds `levels`.
+    pub fn path_node(&self, leaf: u64, depth: u32) -> u64 {
+        assert!(leaf < self.leaf_count(), "leaf out of range");
+        assert!(depth <= self.levels, "depth below the leaves");
+        path_node(self.levels, leaf, depth)
+    }
+
     /// Node indices on the path root → `leaf` (length `levels + 1`).
     pub fn path_nodes(&self, leaf: u64) -> Vec<u64> {
-        let mut nodes = Vec::with_capacity(self.levels as usize + 1);
-        let mut node = self.leaf_node(leaf);
-        loop {
-            nodes.push(node);
-            if node == 0 {
-                break;
-            }
-            node = (node - 1) / 2;
-        }
-        nodes.reverse();
-        nodes
+        (0..=self.levels)
+            .map(|depth| self.path_node(leaf, depth))
+            .collect()
     }
 
-    /// True when `node` lies on the path from the root to `leaf`.
+    /// True when `node` lies on the path from the root to `leaf`: its
+    /// depth is `ilog2(node + 1)`, and the leaf's ancestor at that depth
+    /// is the leaf's 1-based heap index shifted up to it.
     pub fn node_on_path(&self, node: u64, leaf: u64) -> bool {
-        let mut cursor = self.leaf_node(leaf);
-        loop {
-            if cursor == node {
-                return true;
-            }
-            if cursor == 0 {
-                return false;
-            }
-            cursor = (cursor - 1) / 2;
-        }
-    }
-
-    /// Removes and returns all blocks in `node`'s bucket.
-    pub fn drain_bucket(&mut self, node: u64) -> Vec<OramBlock> {
-        self.buckets.remove(&node).unwrap_or_default()
+        let leaf_node = self.leaf_node(leaf);
+        let Some(heap_index) = node.checked_add(1) else {
+            return false;
+        };
+        let depth = heap_index.ilog2();
+        depth <= self.levels && (leaf_node + 1) >> (self.levels - depth) == heap_index
     }
 
     /// Reads a bucket without removing it.
@@ -126,18 +134,59 @@ impl BucketTree {
         self.buckets.get(&node).map_or(&[], Vec::as_slice)
     }
 
-    /// Replaces `node`'s bucket with `blocks`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `bucket_size` blocks are supplied.
-    pub fn fill_bucket(&mut self, node: u64, blocks: Vec<OramBlock>) {
-        assert!(blocks.len() <= self.bucket_size, "bucket overfilled");
-        if blocks.is_empty() {
-            self.buckets.remove(&node);
-        } else {
-            self.buckets.insert(node, blocks);
+    /// Moves every block on `leaf`'s path into `stash`, root first and
+    /// each bucket in slot order; returns how many moved.
+    pub fn read_path(&mut self, leaf: u64, stash: &mut Stash) -> usize {
+        let mut moved = 0;
+        for depth in 0..=self.levels {
+            if let Some(bucket) = self.buckets.get_mut(&self.path_node(leaf, depth)) {
+                moved += bucket.len();
+                for block in bucket.drain(..) {
+                    stash.insert(block);
+                }
+            }
         }
+        moved
+    }
+
+    /// Path ORAM's greedy eviction onto `leaf`'s path, leaf upward: each
+    /// bucket takes up to `bucket_size` of the oldest stash blocks whose
+    /// own path passes through it. Calls `placed(node, blocks)` for every
+    /// bucket on the path.
+    pub fn write_path(&mut self, leaf: u64, stash: &mut Stash, mut placed: impl FnMut(u64, usize)) {
+        let (levels, z) = (self.levels, self.bucket_size);
+        for depth in (0..=levels).rev() {
+            let node = self.path_node(leaf, depth);
+            // A block may sit at this depth iff its leaf agrees with
+            // `leaf` above it.
+            let eligible = |b: &OramBlock| (b.leaf ^ leaf) >> (levels - depth) == 0;
+            let count = match self.buckets.entry(node) {
+                Entry::Occupied(e) => {
+                    let bucket = e.into_mut();
+                    bucket.clear();
+                    stash.take_eligible(z, eligible, bucket);
+                    bucket.len()
+                }
+                Entry::Vacant(e) => {
+                    let mut bucket = Vec::new();
+                    stash.take_eligible(z, eligible, &mut bucket);
+                    let count = bucket.len();
+                    if count > 0 {
+                        e.insert(bucket);
+                    }
+                    count
+                }
+            };
+            placed(node, count);
+        }
+    }
+
+    /// Removes block `id` from `node`'s bucket, moving the bucket's last
+    /// block into its slot.
+    pub fn take_block(&mut self, node: u64, id: u64) -> Option<OramBlock> {
+        let bucket = self.buckets.get_mut(&node)?;
+        let pos = bucket.iter().position(|b| b.id == id)?;
+        Some(bucket.swap_remove(pos))
     }
 
     /// Total real blocks currently resident in the tree.
@@ -206,32 +255,45 @@ mod tests {
         }
     }
 
-    #[test]
-    fn buckets_store_and_drain() {
-        let mut t = BucketTree::new(3, 2);
-        let b = OramBlock {
-            id: 1,
-            leaf: 3,
-            data: [9; 64],
-        };
-        t.fill_bucket(4, vec![b]);
-        assert_eq!(t.bucket(4), &[b]);
-        assert_eq!(t.resident_blocks(), 1);
-        assert_eq!(t.drain_bucket(4), vec![b]);
-        assert_eq!(t.resident_blocks(), 0);
-        assert!(t.bucket(4).is_empty());
+    fn block(id: u64, leaf: u64) -> OramBlock {
+        OramBlock {
+            id,
+            leaf,
+            data: [id as u8; 64],
+        }
     }
 
     #[test]
-    #[should_panic(expected = "overfilled")]
-    fn rejects_overfull_bucket() {
+    fn paths_write_back_and_read_into_the_stash() {
         let mut t = BucketTree::new(3, 2);
-        let b = OramBlock {
-            id: 1,
-            leaf: 0,
-            data: [0; 64],
-        };
-        t.fill_bucket(0, vec![b, b, b]);
+        let mut stash = Stash::new();
+        // Leaf 5 and leaf 4 share everything above the leaves; leaf 0
+        // shares only the root with them.
+        for (id, leaf) in [(1, 5), (2, 5), (3, 5), (4, 4), (5, 0)] {
+            stash.insert(block(id, leaf));
+        }
+        let mut placed = Vec::new();
+        t.write_path(5, &mut stash, |node, count| placed.push((node, count)));
+        // Leaf upward: the leaf bucket takes the two oldest leaf-5
+        // blocks, its parent the third and the leaf-4 block, and the
+        // root the leaf-0 block.
+        assert_eq!(placed, vec![(12, 2), (5, 2), (2, 0), (0, 1)]);
+        assert!(stash.is_empty());
+        assert_eq!(t.bucket(12), &[block(1, 5), block(2, 5)]);
+        assert_eq!(t.bucket(5), &[block(3, 5), block(4, 4)]);
+        assert_eq!(t.resident_blocks(), 5);
+
+        assert_eq!(t.take_block(12, 1), Some(block(1, 5)));
+        assert_eq!(t.take_block(12, 1), None);
+        assert_eq!(t.bucket(12), &[block(2, 5)]);
+
+        // Reading leaf 0's path moves only the root's block.
+        assert_eq!(t.read_path(0, &mut stash), 1);
+        assert_eq!(stash.get(5), Some(&block(5, 0)));
+        assert!(t.bucket(0).is_empty());
+        assert_eq!(t.read_path(5, &mut stash), 3);
+        assert_eq!(t.resident_blocks(), 0);
+        assert_eq!(stash.len(), 4);
     }
 
     #[test]
@@ -245,7 +307,39 @@ mod tests {
         }
     }
 
+    /// The walk `node_on_path` and `path_nodes` replaced: from the leaf
+    /// node up through each parent to the root.
+    fn walk(t: &BucketTree, leaf: u64) -> Vec<u64> {
+        let mut nodes = vec![t.leaf_node(leaf)];
+        while let Some(&node) = nodes.last().filter(|&&n| n > 0) {
+            nodes.push((node - 1) / 2);
+        }
+        nodes.reverse();
+        nodes
+    }
+
     proptest::proptest! {
+        /// Closed-form path nodes and path membership against the walk,
+        /// on shallow and paper-depth trees, for nodes in and out of the
+        /// tree.
+        #[test]
+        fn closed_form_paths_match_the_walk(
+            levels in 0u32..25,
+            leaf_bits: u64,
+            node_bits: u64
+        ) {
+            let t = BucketTree::new(levels, 4);
+            let leaf = leaf_bits % t.leaf_count();
+            let path = walk(&t, leaf);
+            proptest::prop_assert_eq!(t.path_nodes(leaf), path.clone());
+            for node in [node_bits % t.bucket_count(), node_bits, u64::MAX] {
+                proptest::prop_assert_eq!(t.node_on_path(node, leaf), path.contains(&node));
+            }
+            for &node in &path {
+                proptest::prop_assert!(t.node_on_path(node, leaf));
+            }
+        }
+
         #[test]
         fn sibling_paths_share_exactly_the_common_prefix(leaf_a in 0u64..256, leaf_b in 0u64..256) {
             let t = BucketTree::new(8, 4);

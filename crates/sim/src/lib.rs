@@ -14,6 +14,8 @@
 //!   seed, so every table in `EXPERIMENTS.md` is reproducible.
 //! * [`stats`] — counters, running means, and log-scale histograms used
 //!   for IPC / MPKI / latency reporting.
+//! * [`hash`] — a small deterministic hasher for the simulator's integer
+//!   map keys (block addresses, bank/row pairs, page numbers).
 //!
 //! # Example
 //!
@@ -29,6 +31,7 @@
 //! ```
 
 pub mod event;
+pub mod hash;
 pub mod rng;
 pub mod stats;
 pub mod time;
