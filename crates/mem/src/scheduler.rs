@@ -30,6 +30,7 @@
 //! (adaptive close) to hide the PCM write-back behind queueing time.
 
 use std::collections::VecDeque;
+use std::hint::select_unpredictable;
 
 use obfusmem_sim::stats::{Counter, Histogram};
 use obfusmem_sim::time::Time;
@@ -258,9 +259,7 @@ impl BankQueue {
                 lane: u32::try_from(lane).expect("lane count fits in u32"),
                 tie: u16::from(open != Some(l.row)) << 8 | u16::from(l.class),
             };
-            if c.beats(&best) {
-                best = c;
-            }
+            best = select_unpredictable(c.beats(&best), c, best);
         }
         (best, oldest)
     }
@@ -514,7 +513,7 @@ impl FrFcfsScheduler {
     /// # Panics
     ///
     /// Panics if the queue empties first — the caller miscounted.
-    pub fn run_until_batch_completed(&mut self, first: RequestId, count: usize) {
+    pub(crate) fn run_until_batch_completed(&mut self, first: RequestId, count: usize) {
         // Horizon only bounds pick *starts*, so the far value is safe.
         let horizon = Time::from_ps(u64::MAX);
         for _ in 0..count {
@@ -547,17 +546,17 @@ impl FrFcfsScheduler {
         let width = self.keys.len();
         let (key, oldest) = self.banks[index].leaf();
 
-        let bank = self.winners[width + index];
+        let bank = self.winners[width + index]; // its own index, as u32
         self.keys[index] = key;
         let (mut node, mut winner, mut best) = (width + index, bank, key);
         while node > 1 {
             let rival = self.winners[node ^ 1];
             let rival_key = self.keys[rival as usize];
-            if rival_key.beats(&best) {
-                (winner, best) = (rival, rival_key);
-            }
+            let rival_wins = rival_key.beats(&best);
+            winner = select_unpredictable(rival_wins, rival, winner);
+            best = select_unpredictable(rival_wins, rival_key, best);
             node /= 2;
-            if self.winners[node] == winner && winner != bank {
+            if winner != bank && self.winners[node] == winner {
                 break;
             }
             self.winners[node] = winner;
