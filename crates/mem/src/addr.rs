@@ -51,13 +51,11 @@ impl DecodedAddr {
 /// generated in range, but ciphertext-driven probes in the security tests
 /// may produce arbitrary values).
 pub fn decode(cfg: &MemConfig, addr: u64) -> DecodedAddr {
-    // Every validated geometry has a power-of-two capacity, where the
-    // mask spares a division on every request.
-    let addr = if cfg.capacity_bytes.is_power_of_two() {
-        addr & (cfg.capacity_bytes - 1)
-    } else {
-        addr % cfg.capacity_bytes
-    };
+    // `MemConfig::try_validate` admits only power-of-two capacities (and
+    // field widths, which the `trailing_zeros` below rely on too), so the
+    // wrap is a mask.
+    debug_assert!(cfg.capacity_bytes.is_power_of_two());
+    let addr = addr & (cfg.capacity_bytes - 1);
     let col_bits = cfg.row_buffer_bytes.trailing_zeros();
     let ch_bits = cfg.channels.trailing_zeros();
     let ba_bits = cfg.banks_per_rank.trailing_zeros();

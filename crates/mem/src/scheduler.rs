@@ -221,14 +221,9 @@ impl BankQueue {
                 self.lanes.last_mut().expect("just pushed")
             }
         };
-        // Arrivals mostly come in order, so the back is the usual slot.
         let key = (entry.arrival, entry.id);
-        if lane.entries.back().is_none_or(|e| (e.arrival, e.id) <= key) {
-            lane.entries.push_back(entry);
-        } else {
-            let pos = lane.entries.partition_point(|e| (e.arrival, e.id) <= key);
-            lane.entries.insert(pos, entry);
-        }
+        let pos = lane.entries.partition_point(|e| (e.arrival, e.id) <= key);
+        lane.entries.insert(pos, entry);
     }
 
     /// Closes emptied lanes, returning their buffers to `spare`.

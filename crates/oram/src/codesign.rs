@@ -37,7 +37,7 @@
 //!   snapshot.
 //!
 //! Both policies drive the same [`PathOram`] through
-//! [`PathOram::access_path_concurrent`], consuming the same randomness,
+//! [`PathOram::access_path`], consuming the same randomness,
 //! so their logical results are bit-identical by construction.
 
 use obfusmem_cpu::core::MemoryBackend;

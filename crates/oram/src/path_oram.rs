@@ -104,9 +104,9 @@ impl OramMetrics {
     }
 }
 
-/// The physical work one Path ORAM access implies, as a batch a
-/// co-designed controller can fan out (see
-/// [`PathOram::access_path_concurrent`]).
+/// The physical work one Path ORAM access implies, as an owned batch
+/// (see [`PathOram::access_path`], which fills a caller's buffer instead).
+#[cfg(test)]
 #[derive(Debug, Clone)]
 pub struct PathBatch {
     /// The logical block's data after the access.
@@ -249,26 +249,8 @@ impl PathOram {
         self.access(id, Some(data)).map(|_| ())
     }
 
-    /// One access expressed as a physical batch plan: performs the
-    /// functional access (remap, path read, serve, evict) exactly as
-    /// [`PathOram::read`] would — consuming the same randomness, so a
-    /// serial and a concurrent controller driving the same seed stay
-    /// bit-identical — and returns the `(L+1)·Z` slot addresses a
-    /// co-designed memory controller fans out across its per-bank
-    /// queues (each slot is read in phase 1 and written back in
-    /// phase 2).
-    ///
-    /// The functional stash update and eviction happen atomically here,
-    /// *before* any physical timing is modeled: a controller must
-    /// barrier on all phase-1 reads before acting on the result, which
-    /// is exactly the ordering this API enforces by construction (an
-    /// out-of-order bucket read can never evict against a stale stash
-    /// snapshot, because eviction is not exposed as a separate step).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OramError::BlockOutOfRange`] for ids beyond the logical
-    /// capacity, or [`OramError::StashOverflow`] under a hard bound.
+    /// [`PathOram::access_path`] returning an owned [`PathBatch`].
+    #[cfg(test)]
     pub fn access_path_concurrent(
         &mut self,
         id: u64,
@@ -283,14 +265,27 @@ impl PathOram {
         })
     }
 
-    /// [`PathOram::access_path_concurrent`] into a caller's buffer:
-    /// performs the access, replaces `slot_addrs`' contents with the
-    /// path's `(L+1)·Z` slot addresses (root first), and returns the
-    /// block's data and the leaf whose path was touched.
+    /// One access expressed as a physical batch plan: performs the
+    /// functional access (remap, path read, serve, evict) exactly as
+    /// [`PathOram::read`] would — consuming the same randomness, so a
+    /// serial and a concurrent controller driving the same seed stay
+    /// bit-identical — replaces `slot_addrs`' contents with the path's
+    /// `(L+1)·Z` slot addresses (root first), which a co-designed memory
+    /// controller fans out across its per-bank queues (each slot is read
+    /// in phase 1 and written back in phase 2), and returns the block's
+    /// data and the leaf whose path was touched.
+    ///
+    /// The functional stash update and eviction happen atomically here,
+    /// *before* any physical timing is modeled: a controller must
+    /// barrier on all phase-1 reads before acting on the result, which
+    /// is exactly the ordering this API enforces by construction (an
+    /// out-of-order bucket read can never evict against a stale stash
+    /// snapshot, because eviction is not exposed as a separate step).
     ///
     /// # Errors
     ///
-    /// As [`PathOram::access_path_concurrent`].
+    /// Returns [`OramError::BlockOutOfRange`] for ids beyond the logical
+    /// capacity, or [`OramError::StashOverflow`] under a hard bound.
     pub fn access_path(
         &mut self,
         id: u64,

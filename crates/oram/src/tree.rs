@@ -5,10 +5,11 @@
 //! numbering: node 0 is the root, node `2i+1`/`2i+2` its children, leaf
 //! `l` is node `2^levels - 1 + l`.
 //!
-//! Buckets are stored sparsely (only nodes that ever held a block allocate
+//! Buckets are stored sparsely (only nodes that hold a block now allocate
 //! memory) so the paper-scale L = 24 geometry is representable without a
-//! 9 GB allocation. A bucket keeps its buffer when emptied, so a path
-//! access allocates nothing once its buckets have been filled before.
+//! 9 GB allocation. A bucket that `write_path` or `take_block` leaves empty
+//! is dropped from the map; one that `write_path` refills keeps the buffer
+//! `read_path` drained, so the common path access allocates nothing.
 
 use std::collections::hash_map::Entry;
 
@@ -34,7 +35,8 @@ pub struct OramBlock {
 pub struct BucketTree {
     levels: u32,
     bucket_size: usize,
-    /// node index → occupied slots (≤ bucket_size).
+    /// node index → occupied slots (1..=bucket_size, or none between a
+    /// `read_path` and the `write_path` that follows it).
     buckets: FoldMap<u64, Vec<OramBlock>>,
 }
 
@@ -161,11 +163,15 @@ impl BucketTree {
             // `leaf` above it.
             let eligible = |b: &OramBlock| (b.leaf ^ leaf) >> (levels - depth) == 0;
             let count = match self.buckets.entry(node) {
-                Entry::Occupied(e) => {
-                    let bucket = e.into_mut();
+                Entry::Occupied(mut e) => {
+                    let bucket = e.get_mut();
                     bucket.clear();
                     stash.take_eligible(z, eligible, bucket);
-                    bucket.len()
+                    let count = bucket.len();
+                    if count == 0 {
+                        e.remove();
+                    }
+                    count
                 }
                 Entry::Vacant(e) => {
                     let mut bucket = Vec::new();
@@ -182,11 +188,15 @@ impl BucketTree {
     }
 
     /// Removes block `id` from `node`'s bucket, moving the bucket's last
-    /// block into its slot.
+    /// block into its slot; drops the bucket once it is empty.
     pub fn take_block(&mut self, node: u64, id: u64) -> Option<OramBlock> {
         let bucket = self.buckets.get_mut(&node)?;
         let pos = bucket.iter().position(|b| b.id == id)?;
-        Some(bucket.swap_remove(pos))
+        let block = bucket.swap_remove(pos);
+        if bucket.is_empty() {
+            self.buckets.remove(&node);
+        }
+        Some(block)
     }
 
     /// Total real blocks currently resident in the tree.
@@ -286,14 +296,24 @@ mod tests {
         assert_eq!(t.take_block(12, 1), Some(block(1, 5)));
         assert_eq!(t.take_block(12, 1), None);
         assert_eq!(t.bucket(12), &[block(2, 5)]);
+        // The map holds only buckets with a block in them: the empty
+        // depth-2 bucket was never stored, and taking a bucket's last
+        // block drops it.
+        assert_eq!(t.buckets.len(), 3);
+        assert_eq!(t.take_block(12, 2), Some(block(2, 5)));
+        assert_eq!(t.buckets.len(), 2);
 
         // Reading leaf 0's path moves only the root's block.
         assert_eq!(t.read_path(0, &mut stash), 1);
         assert_eq!(stash.get(5), Some(&block(5, 0)));
         assert!(t.bucket(0).is_empty());
-        assert_eq!(t.read_path(5, &mut stash), 3);
+        assert_eq!(t.read_path(5, &mut stash), 2);
         assert_eq!(t.resident_blocks(), 0);
-        assert_eq!(stash.len(), 4);
+        assert_eq!(stash.len(), 3);
+        // Writing back an empty stash onto the drained path drops every
+        // bucket on it, which were all the stored ones.
+        t.write_path(5, &mut Stash::new(), |_, count| assert_eq!(count, 0));
+        assert_eq!(t.buckets.len(), 0);
     }
 
     #[test]
