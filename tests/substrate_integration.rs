@@ -74,24 +74,82 @@ fn hot_block_hits_l1_after_first_touch() {
 }
 
 #[test]
-fn fr_fcfs_scheduler_agrees_with_reservation_model_on_serial_streams() {
-    // On a strictly serial request stream (each issued after the previous
-    // completes) there is nothing to reorder, so the queued controller
-    // and the reservation-model device must agree on every latency.
-    use obfusmem::mem::scheduler::FrFcfsScheduler;
-    let cfg = MemConfig::table2();
-    let mut device = PcmMemory::new(cfg.clone());
-    let mut sched = FrFcfsScheduler::new(cfg);
-    let mut t = Time::ZERO;
-    for i in 0..50u64 {
-        let addr = (i % 7) * (1 << 24) + (i % 16) * 64;
-        let r = device.access(t, addr, AccessKind::Read);
-        sched.enqueue(t, addr, AccessKind::Read);
-        sched.run_until(r.complete_at);
-        let done = sched.take_completions();
-        assert_eq!(done.len(), 1, "request {i} not serviced");
-        assert_eq!(done[0].at, r.complete_at, "latency mismatch at request {i}");
-        t = r.complete_at;
+fn queued_and_reservation_devices_agree_on_demand_streams() {
+    // A demand access under the queued backend enqueues and drives its
+    // channel until it completes, so the queue never holds more than the
+    // request being serviced: FR-FCFS has nothing to reorder and the
+    // adaptive close nothing to close. Both backends must then agree on
+    // every result, lane booking and counter, whatever the arrival
+    // order, the access kind, the channel count or the packet traffic
+    // interleaved on the lanes.
+    use obfusmem::mem::channel::Lane;
+    use obfusmem::mem::config::BackendKind;
+    use obfusmem::sim::rng::SplitMix64;
+    for channels in [1, 2, 4] {
+        let cfg = MemConfig::table2().with_channels(channels);
+        let mut res = PcmMemory::new(cfg.clone());
+        let mut que = PcmMemory::new(cfg.with_backend(BackendKind::Queued));
+        let mut rng = SplitMix64::new(0x5EED_0000 + channels as u64);
+        let mut now = 0u64;
+        for op in 0..20_000 {
+            // Arrivals drift forward but often land up to 300 ns in the
+            // past, so requests overlap and arrive out of order.
+            now += rng.below(40_000);
+            let at = Time::from_ps(now.saturating_sub(rng.below(300_000)));
+            if rng.chance(0.25) {
+                let channel = rng.below(channels as u64) as usize;
+                let lane = if rng.chance(0.5) {
+                    Lane::Request
+                } else {
+                    Lane::Response
+                };
+                let bytes = 1 + rng.below(128);
+                assert_eq!(
+                    res.bus_transfer_bytes(at, channel, bytes, lane),
+                    que.bus_transfer_bytes(at, channel, bytes, lane),
+                    "{channels} channels, op {op}: lane booking differs"
+                );
+            } else {
+                // Four rows, every bank and channel: hits, clean misses
+                // and dirty evictions all occur.
+                let addr = (rng.below(4) << 24) | (rng.below(1 << 16) & !63);
+                let kind = if rng.chance(0.4) {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                assert_eq!(
+                    res.access(at, addr, kind),
+                    que.access(at, addr, kind),
+                    "{channels} channels, op {op}: access result differs"
+                );
+            }
+            for ch in 0..channels {
+                assert_eq!(
+                    res.channel_idle_at(ch, at),
+                    que.channel_idle_at(ch, at),
+                    "{channels} channels, op {op}: channel {ch} idleness differs"
+                );
+            }
+        }
+        que.drain_queued();
+        assert_eq!(que.pending_requests(), 0);
+        for ch in 0..channels {
+            assert_eq!(
+                format!("{:?}", res.channel_stats(ch)),
+                format!("{:?}", que.channel_stats(ch))
+            );
+            assert_eq!(
+                format!("{:?}", res.bank_stats(ch)),
+                format!("{:?}", que.bank_stats(ch))
+            );
+        }
+        assert_eq!(res.array_ops(), que.array_ops());
+        assert_eq!(res.wear().max_row_writes(), que.wear().max_row_writes());
+        assert!(
+            res.wear().max_row_writes() > 0,
+            "stream must evict dirty rows"
+        );
     }
 }
 
