@@ -18,7 +18,7 @@
 //!   constant-time by construction, which matters because the memory
 //!   encryption engine sits next to an attacker-observable bus.
 //!
-//! [`set_force_tier`] pins a tier process-wide for benchmarking; tests call
+//! The tier is detected once per process ([`active_tier`]); tests call
 //! `encrypt_blocks_on` / `ctr_blocks_on` with an explicit tier instead.
 //!
 //! Counter-mode blocks never materialize IV bytes on the sliced tier: the
@@ -31,7 +31,6 @@
 
 use crate::aes::Block;
 use std::ops::{BitAnd, BitOr, BitXor, Not, Shl, Shr};
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// Parallel 64-bit registers per bit plane in the portable kernel.
@@ -601,21 +600,6 @@ impl Tier {
             Tier::HwAes => "hw-aes",
         }
     }
-
-    fn code(self) -> u8 {
-        match self {
-            Tier::Sliced2 => 1,
-            Tier::HwAes => 2,
-        }
-    }
-
-    fn from_code(c: u8) -> Option<Tier> {
-        match c {
-            1 => Some(Tier::Sliced2),
-            2 => Some(Tier::HwAes),
-            _ => None,
-        }
-    }
 }
 
 /// Whether `tier` can run on this CPU.
@@ -641,32 +625,9 @@ pub fn detect_best() -> Tier {
     }
 }
 
-static FORCE_TIER: AtomicU8 = AtomicU8::new(0);
-
-/// Pin the wide engine to a specific tier process-wide (benchmarks only:
-/// every thread's next call switches, so tests pass a tier to
-/// `encrypt_blocks_on` / `ctr_blocks_on` instead). Returns `false` and
-/// leaves the setting unchanged if the requested tier is not supported on
-/// this CPU. `None` restores automatic detection.
-pub fn set_force_tier(tier: Option<Tier>) -> bool {
-    match tier {
-        Some(t) if !supported(t) => false,
-        Some(t) => {
-            FORCE_TIER.store(t.code(), Ordering::Relaxed);
-            true
-        }
-        None => {
-            FORCE_TIER.store(0, Ordering::Relaxed);
-            true
-        }
-    }
-}
-
-/// The tier the next wide-engine call will run on.
+/// The tier every wide-engine call runs on: [`detect_best`], detected
+/// once per process.
 pub fn active_tier() -> Tier {
-    if let Some(t) = Tier::from_code(FORCE_TIER.load(Ordering::Relaxed)) {
-        return t;
-    }
     static DETECTED: OnceLock<Tier> = OnceLock::new();
     *DETECTED.get_or_init(detect_best)
 }
@@ -784,8 +745,8 @@ fn ctr_batch(keys: &SlicedKeys, nonce: u64, counter: u64, out: &mut [Block]) {
     unpack_blocks(&q, out);
 }
 
-/// Every tier this CPU runs. Tests pass each one explicitly so that none of
-/// them touches the process-wide [`set_force_tier`] switch.
+/// Every tier this CPU runs. Tests pass each one explicitly, since
+/// [`active_tier`] only ever runs the best one.
 #[cfg(test)]
 pub(crate) fn all_supported_tiers() -> Vec<Tier> {
     [Tier::Sliced2, Tier::HwAes]
