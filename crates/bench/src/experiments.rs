@@ -2,9 +2,8 @@
 
 use obfusmem_core::backend::ObfusMemBackend;
 use obfusmem_core::config::{
-    ChannelStrategy, DummyAddressPolicy, MacScheme, ObfusMemConfig, SecurityLevel, TypeHiding,
+    ChannelStrategy, DummyAddressPolicy, MacScheme, ObfusMemConfig, TypeHiding,
 };
-use obfusmem_core::system::{System, SystemConfig};
 use obfusmem_cpu::core::{MemoryBackend, RunResult};
 use obfusmem_cpu::workload::{by_name, table1_workloads, WorkloadSpec};
 use obfusmem_harness::measure::{run_point, run_point_observed, PointSpec, Scheme};
@@ -553,22 +552,18 @@ pub fn ablation_dummy_policy(instructions: u64, seed: u64) -> Vec<DummyPolicyRow
     ]
     .into_iter()
     .map(|policy| {
-        // Array wear is not in the metrics snapshot, so this run keeps
-        // its machine to read it.
-        let mut sys = System::new(SystemConfig {
-            security: SecurityLevel::ObfuscateAuth,
-            obfus: ObfusMemConfig {
-                dummy_policy: policy,
-                ..ObfusMemConfig::paper_default()
-            },
-            mem: MemConfig::table2(),
-        });
-        let r = sys.run(&spec, instructions, seed);
+        let cfg = ObfusMemConfig {
+            dummy_policy: policy,
+            ..ObfusMemConfig::paper_default()
+        };
+        let p = auth_point(&spec, cfg, instructions, seed);
+        let (r, metrics) = run_point_observed(&p, &TraceHandle::disabled());
+        let counter = |name| metrics.counter(name).expect("protected point metrics");
         DummyPolicyRow {
             policy,
             overhead: r.overhead_vs(&base),
-            dummy_array_writes: sys.backend().stats().dummy_array_writes,
-            max_row_writes: sys.backend().memory().wear().max_row_writes(),
+            dummy_array_writes: counter("engine.dummy_array_writes"),
+            max_row_writes: counter("mem.max_row_writes"),
         }
     })
     .collect()
@@ -1055,6 +1050,8 @@ pub fn leakage_matrix(instructions: u64, seed: u64) -> Vec<LeakageRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obfusmem_core::config::SecurityLevel;
+    use obfusmem_core::system::{System, SystemConfig};
 
     const N: u64 = 100_000;
 

@@ -384,37 +384,39 @@ fn hash_event(h: &mut Fnv, ev: &BusEvent) {
 /// substitution and uniform packets were recorded when those shapes
 /// began sealing their headers with the configured cipher; before, the
 /// processor XORed them with CTR pads and the memory end's ECB decrypt
-/// failed.
+/// failed. Every `result` and `traced` was re-recorded when the device
+/// began publishing `mem.max_row_writes` in its metrics tree; `spans`
+/// and `events` did not move.
 #[rustfmt::skip]
 const PINS: &[(&str, u64, u64, u64, u64)] = &[
-    ("unprotected-1ch", 0x5d67a378e71314a2, 0x5d67a378e71314a2, 0x0285c8e42204dbec, 0x41e766e78020587f),
-    ("unprotected-2ch-device", 0xcd8c2b533d877f85, 0xcd8c2b533d877f85, 0x2caaafba249a440a, 0x2edbff029ae265b2),
-    ("unprotected-1ch-queued", 0x74c0195358319139, 0x74c0195358319139, 0x4521f21b20220088, 0x70d570b237732824),
-    ("encrypt-only-1ch", 0x3f2c97374cc43406, 0x3f2c97374cc43406, 0x77391f22c2546a17, 0xb85909ac165cce30),
-    ("encrypt-only-4ch-queued", 0x89c2f1e00db254e6, 0x89c2f1e00db254e6, 0x33e9ccd3324f604f, 0x3424786797ba2678),
-    ("encrypt-only-2ch-device", 0x8636804c4992f0ef, 0x8636804c4992f0ef, 0x97d738bc7b5a6840, 0x68b2564515e5e940),
-    ("pair-obf-1ch-starved", 0x131517f222c87fac, 0x131517f222c87fac, 0x1e8c1d9407eeb2e1, 0x97cad1ecb1dcec80),
-    ("pair-auth-1ch", 0xc80260cf56a10fa2, 0xc80260cf56a10fa2, 0x3f0d41fe35d84798, 0x64468090474c7a0c),
-    ("pair-auth-2ch-wtr-slots-random-etm", 0xf1389c8cc973a129, 0xf1389c8cc973a129, 0xc85c7f845ec1e4aa, 0x905a49c361efd48d),
-    ("pair-auth-4ch-original-unopt", 0xa22d7582ad1f271e, 0xa22d7582ad1f271e, 0x09812019b2876d05, 0xab64e8231285da26),
-    ("pair-obf-2ch-queued-wtr", 0x13c7b597e9eb4d02, 0x13c7b597e9eb4d02, 0xb744378785731771, 0x9044fe8fe3887711),
-    ("pair-auth-2ch-link", 0x211163a61d07b21f, 0x211163a61d07b21f, 0x49062dae66d93f35, 0x82c3d4867108d14a),
-    ("pair-auth-1ch-device", 0x2feebc4da577d78d, 0x2feebc4da577d78d, 0x36940dd5fa81cc11, 0x63042a9cba518b54),
-    ("pair-auth-2ch-quarantine", 0x2cfc989cd7add9e6, 0x2cfc989cd7add9e6, 0xc82b48a4c7cf27da, 0xd724193a6c48f68a),
-    ("pair-auth-2ch-ecb", 0x4f132ee348419c99, 0x4f132ee348419c99, 0x0f27c7c98a1a54c2, 0x7b9144e8254227c0),
-    ("subst-auth-1ch", 0x04e9a21b07572b03, 0x04e9a21b07572b03, 0xb9719335c180cdb3, 0xb24d6c86e66085c8),
-    ("subst-auth-1ch-ecb", 0x04e9a21b07572b03, 0x04e9a21b07572b03, 0xb9719335c180cdb3, 0xdf92aa788bf3672a),
-    ("subst-obf-2ch-slots-random-etm", 0xa99fdc44f90ae8e0, 0xa99fdc44f90ae8e0, 0xaaed8a3712e09f31, 0xc658f5cc11a165b5),
-    ("subst-auth-4ch-queued-wtr", 0xf277067727cc8b20, 0xf277067727cc8b20, 0xe732517ae23d9706, 0xfbbf865d63d7f25b),
-    ("subst-auth-2ch-link", 0x07ffdf8d16b8342e, 0x07ffdf8d16b8342e, 0x110ca84aa2cf6307, 0x0d57fe8c1288b7b1),
-    ("subst-auth-1ch-device", 0x6b36d1ae19235546, 0x6b36d1ae19235546, 0x0164f92146a419f7, 0xcd6f199c4347bffa),
-    ("uniform-auth-1ch", 0xadbef9464022c8e7, 0xadbef9464022c8e7, 0xb9e8123d4f495eec, 0x35a491e978f827de),
-    ("uniform-auth-1ch-starved", 0x6a3cf5a6f1a78a02, 0x6a3cf5a6f1a78a02, 0x08ea645d4fdbbf7e, 0x60377399ad67c20f),
-    ("uniform-obf-4ch-slots-etm", 0xf5441489e8d6b905, 0xf5441489e8d6b905, 0xea57c13d9bfcb54c, 0x11c858e234006376),
-    ("uniform-obf-2ch-ecb-etm", 0x26f34fdfce1df97f, 0x26f34fdfce1df97f, 0x2a3281e257931987, 0x94a6f88503ab7464),
-    ("uniform-auth-2ch-queued-starved", 0x5b80c3ae3061fe9d, 0x5b80c3ae3061fe9d, 0x95424ad599f1ad29, 0xc9378850195de0c9),
-    ("uniform-auth-1ch-link", 0x2720981c524aab79, 0x2720981c524aab79, 0x00abfdfcf045be5e, 0x9619818e95337385),
-    ("uniform-obf-2ch-device", 0xedbecfb7989d6e93, 0xedbecfb7989d6e93, 0x55e531b9a4a3a0a1, 0x19b2343fd772f201),
+    ("unprotected-1ch", 0x8dc37b71c7666bf8, 0x8dc37b71c7666bf8, 0x0285c8e42204dbec, 0x41e766e78020587f),
+    ("unprotected-2ch-device", 0xaaacb0dba09f4ef5, 0xaaacb0dba09f4ef5, 0x2caaafba249a440a, 0x2edbff029ae265b2),
+    ("unprotected-1ch-queued", 0x5a980c99b87caabf, 0x5a980c99b87caabf, 0x4521f21b20220088, 0x70d570b237732824),
+    ("encrypt-only-1ch", 0x9d11ad5fb608f961, 0x9d11ad5fb608f961, 0x77391f22c2546a17, 0xb85909ac165cce30),
+    ("encrypt-only-4ch-queued", 0x9d01cfc3b2d0fc99, 0x9d01cfc3b2d0fc99, 0x33e9ccd3324f604f, 0x3424786797ba2678),
+    ("encrypt-only-2ch-device", 0xf9d6f6f706accd1f, 0xf9d6f6f706accd1f, 0x97d738bc7b5a6840, 0x68b2564515e5e940),
+    ("pair-obf-1ch-starved", 0x896b69f92eed832f, 0x896b69f92eed832f, 0x1e8c1d9407eeb2e1, 0x97cad1ecb1dcec80),
+    ("pair-auth-1ch", 0xd650e667fcc57a29, 0xd650e667fcc57a29, 0x3f0d41fe35d84798, 0x64468090474c7a0c),
+    ("pair-auth-2ch-wtr-slots-random-etm", 0xf51893fbd2824b93, 0xf51893fbd2824b93, 0xc85c7f845ec1e4aa, 0x905a49c361efd48d),
+    ("pair-auth-4ch-original-unopt", 0x3d32b5b08eac5a1b, 0x3d32b5b08eac5a1b, 0x09812019b2876d05, 0xab64e8231285da26),
+    ("pair-obf-2ch-queued-wtr", 0x055313ae9c778ef0, 0x055313ae9c778ef0, 0xb744378785731771, 0x9044fe8fe3887711),
+    ("pair-auth-2ch-link", 0xf046891796834b93, 0xf046891796834b93, 0x49062dae66d93f35, 0x82c3d4867108d14a),
+    ("pair-auth-1ch-device", 0x932cd41a0b906238, 0x932cd41a0b906238, 0x36940dd5fa81cc11, 0x63042a9cba518b54),
+    ("pair-auth-2ch-quarantine", 0x536f3b09ef9dad5c, 0x536f3b09ef9dad5c, 0xc82b48a4c7cf27da, 0xd724193a6c48f68a),
+    ("pair-auth-2ch-ecb", 0x299280686c27ef19, 0x299280686c27ef19, 0x0f27c7c98a1a54c2, 0x7b9144e8254227c0),
+    ("subst-auth-1ch", 0xe62a9d9afc4f4654, 0xe62a9d9afc4f4654, 0xb9719335c180cdb3, 0xb24d6c86e66085c8),
+    ("subst-auth-1ch-ecb", 0xe62a9d9afc4f4654, 0xe62a9d9afc4f4654, 0xb9719335c180cdb3, 0xdf92aa788bf3672a),
+    ("subst-obf-2ch-slots-random-etm", 0xe8a4be23801822a7, 0xe8a4be23801822a7, 0xaaed8a3712e09f31, 0xc658f5cc11a165b5),
+    ("subst-auth-4ch-queued-wtr", 0x7a52947949fb62d4, 0x7a52947949fb62d4, 0xe732517ae23d9706, 0xfbbf865d63d7f25b),
+    ("subst-auth-2ch-link", 0x2d60dc9d4d5967b9, 0x2d60dc9d4d5967b9, 0x110ca84aa2cf6307, 0x0d57fe8c1288b7b1),
+    ("subst-auth-1ch-device", 0x8da44cef020756bd, 0x8da44cef020756bd, 0x0164f92146a419f7, 0xcd6f199c4347bffa),
+    ("uniform-auth-1ch", 0x26fd9026dedaa72c, 0x26fd9026dedaa72c, 0xb9e8123d4f495eec, 0x35a491e978f827de),
+    ("uniform-auth-1ch-starved", 0x0bcfc7630763d933, 0x0bcfc7630763d933, 0x08ea645d4fdbbf7e, 0x60377399ad67c20f),
+    ("uniform-obf-4ch-slots-etm", 0x0973b37cb06172be, 0x0973b37cb06172be, 0xea57c13d9bfcb54c, 0x11c858e234006376),
+    ("uniform-obf-2ch-ecb-etm", 0x6c0a60d11ae57635, 0x6c0a60d11ae57635, 0x2a3281e257931987, 0x94a6f88503ab7464),
+    ("uniform-auth-2ch-queued-starved", 0x9094a9ce410aeede, 0x9094a9ce410aeede, 0x95424ad599f1ad29, 0xc9378850195de0c9),
+    ("uniform-auth-1ch-link", 0x36154b15ee1f362a, 0x36154b15ee1f362a, 0x00abfdfcf045be5e, 0x9619818e95337385),
+    ("uniform-obf-2ch-device", 0x6232e1492b7c2aab, 0x6232e1492b7c2aab, 0x55e531b9a4a3a0a1, 0x19b2343fd772f201),
 ];
 
 fn counter(m: &MetricsNode, path: &str) -> u64 {
