@@ -4,16 +4,18 @@ use obfusmem_sim::time::Duration;
 
 use crate::addr::AddressMapping;
 
-/// How the device turns decoded requests into completion times.
+/// How the device issues decoded requests onto its channel datapaths.
 ///
 /// The paper's Table 2 machine is an FR-FCFS, open-adaptive controller;
-/// the *reservation* model approximates it (banks and lanes are reserved
-/// in arrival order), while the *queued* model runs the real per-channel
-/// FR-FCFS schedulers from [`crate::scheduler`]. EXPERIMENTS.md
-/// quantifies where the two diverge.
+/// the *reservation* policy approximates it (each request issues onto
+/// its channel at arrival, so banks and lanes are reserved in arrival
+/// order), while the *queued* policy runs the real per-channel FR-FCFS
+/// schedulers from [`crate::scheduler`]. Both drive the same
+/// [`crate::channel::Channel`]. EXPERIMENTS.md quantifies where the two
+/// diverge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendKind {
-    /// Resource reservation in arrival order (the historical model).
+    /// Issue at arrival, in arrival order (the historical model).
     #[default]
     Reservation,
     /// Sharded per-channel FR-FCFS controllers with the open-adaptive

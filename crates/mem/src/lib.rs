@@ -13,12 +13,15 @@
 //!   mapping, including RoRaBaChCo and alternatives.
 //! * [`bank`] — per-bank row-buffer state machines with PCM timing and
 //!   dirty-eviction write accounting.
-//! * [`channel`] — channel-level arbitration: shared data bus, bank
+//! * [`channel`] — the one channel datapath: shared data bus, bank
 //!   steering, and per-channel busy tracking.
+//! * [`scheduler`] — the queued FR-FCFS controllers, one per channel,
+//!   each owning its channel's datapath.
 //! * [`device`] — [`device::PcmMemory`], the top-level device: a timing
-//!   front end (`access`) plus a functional 64-byte-block backing store so
-//!   upper layers (ObfusMem's memory-side engine, Path ORAM) move real
-//!   bytes.
+//!   front end (`access`) that issues onto the datapaths synchronously or
+//!   through the controllers, plus a functional 64-byte-block backing
+//!   store so upper layers (ObfusMem's memory-side engine, Path ORAM)
+//!   move real bytes.
 //! * [`energy`] — read/write energy and wear (write-endurance) accounting
 //!   used by the §5.2 lifetime/energy comparison.
 //!
