@@ -10,14 +10,17 @@
 //!
 //! `micro` then runs under every scheme, and the ORAM scheme in each
 //! mode, through the plain, inert-tap, span-recorded and attacked
-//! runners, which must agree too. Last, the leakage campaign's rows are
-//! pinned by a known-answer digest.
+//! runners, which must agree too. The leakage campaign's rows are
+//! pinned by a known-answer digest. Last, the traced Fig 4 point that
+//! `tables -n 50000 -s 1 trace` writes must match its untraced run and
+//! its known answers.
 
 use obfusmem::core::system::{System, SystemConfig};
 use obfusmem::cpu::core::RunResult;
 use obfusmem::cpu::workload::{by_name, micro_test_workload};
 use obfusmem::mem::config::MemConfig;
 use obfusmem::obs::trace::TraceHandle;
+use obfusmem_bench::experiments::trace_point;
 use obfusmem_harness::job::run_job;
 use obfusmem_harness::measure::{
     run_point, run_point_nulltap, run_point_observed, run_point_with, BusObserver, LeakagePoint,
@@ -176,5 +179,59 @@ fn leakage_campaign_rows_match_their_known_answer() {
         got, PIN,
         "leakage rows moved; recomputed pin ({}, {:#018x}), rows:\n{rows}",
         got.0, got.1
+    );
+}
+
+/// Whether `s` is one non-empty JSON object: it opens with `{`, closes
+/// with `}`, holds something between, and its braces and brackets
+/// (outside strings) close only at the end.
+fn is_json_object(s: &str) -> bool {
+    let (mut depth, mut in_string, mut escaped) = (0i64, false, false);
+    for (i, c) in s.char_indices() {
+        if in_string {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match c {
+            '"' => in_string = true,
+            '{' | '[' => depth += 1,
+            '}' | ']' => {
+                depth -= 1;
+                if depth == 0 && i + 1 != s.len() {
+                    return false;
+                }
+            }
+            _ => {}
+        }
+    }
+    s.starts_with('{') && s.ends_with('}') && s.len() > 2 && depth == 0 && !in_string
+}
+
+/// The point `tables -n 50000 -s 1 trace` runs (bwaves, ObfusMem+Auth,
+/// span recorder attached): the traced run equals the untraced one, the
+/// trace and the metrics snapshot are non-empty JSON objects, and the
+/// execution time and event count match their known answers.
+#[test]
+fn traced_fig4_point_matches_untraced_and_its_known_answers() {
+    let report = trace_point(by_name("bwaves").expect("Table 1 workload"), 50_000, 1);
+    assert!(report.matches_untraced, "tracing perturbed the simulation");
+    assert!(report.events > 0 && report.tracks > 0);
+    assert!(
+        is_json_object(&report.chrome_json),
+        "chrome trace is not a JSON object"
+    );
+    assert!(
+        is_json_object(&report.metrics_json),
+        "metrics snapshot is not a JSON object"
+    );
+    assert_eq!(
+        (report.exec_time_ps, report.events),
+        (56_473_844, 5801),
+        "traced fig4 point moved"
     );
 }
