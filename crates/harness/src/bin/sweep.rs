@@ -232,11 +232,9 @@ usage: sweep serve [options]
   --channels N         memory channels, power of two (default 1)
   --requests N         fill requests per tenant (default 64)
   --storm-period N     global completions between churn storms, 0 = never
-  --storm-stride N     re-key every Nth tenant during a storm (default 4)
   --seed SEED          master seed, decimal or 0x-hex
   --dh toy|full        Diffie-Hellman handshake strength (default toy)
   --workload NAME      `micro` or a Table 1 benchmark name (default micro)
-  --starvation-limit N FR-FCFS same-bank bypass budget before promotion
   --chunk N            requests per progress chunk (default 4096)
   --device-fault KIND@RATE
                        device-fault overlay on every cell's array:
@@ -455,17 +453,15 @@ mod tests {
 
     /// One value per serve spec key, none of them the default.
     #[rustfmt::skip]
-    const SERVE_KEYS: [(&str, &str); 13] = [
+    const SERVE_KEYS: [(&str, &str); 11] = [
         ("tenants", "1,0x3"),
         ("churn", "0,8"),
         ("channels", "2"),
         ("requests", "0x40_0"),
         ("storm_period", "64"),
-        ("storm_stride", "2"),
         ("seed", "0x77"),
         ("dh", "full"),
         ("workload", "mcf"),
-        ("starvation_limit", "9"),
         ("chunk", "7"),
         ("device_fault", "bit-flip@0.01"),
         ("device_fault_seed", "0x99"),
@@ -489,10 +485,12 @@ mod tests {
             assert_ne!(cli, default, "{flag} changed nothing");
             assert_eq!(cli, direct, "{flag}");
         }
-        let err = parse_serve_args(argv(&["--warp-drive", "1"]))
-            .err()
-            .expect("an unknown key must be rejected");
-        assert!(err.contains("unknown key"), "got: {err}");
+        for flag in ["--warp-drive", "--starvation-limit", "--storm-stride"] {
+            let err = parse_serve_args(argv(&[flag, "2"]))
+                .err()
+                .expect("an unknown key must be rejected");
+            assert!(err.contains("unknown key"), "{flag} got: {err}");
+        }
         let err = parse_serve_args(argv(&["--device-fault", "bit-flip"]))
             .err()
             .expect("a device fault without a rate must be rejected");

@@ -73,16 +73,12 @@ pub struct ServeSpec {
     pub requests: u64,
     /// Global churn-storm period (0 = no storms).
     pub storm_period: u64,
-    /// Storm batch stride.
-    pub storm_stride: usize,
     /// Master seed.
     pub seed: u64,
     /// Handshake strength.
     pub dh: DhStrength,
     /// Workload name (`micro` or a Table 1 benchmark).
     pub workload: String,
-    /// Same-bank bypass budget before low-class promotion.
-    pub starvation_limit: u32,
     /// Requests per progress chunk (incremental streaming granularity).
     pub chunk: u64,
     /// Device-fault overlay for every cell's fabric (`None` = pristine
@@ -100,11 +96,9 @@ impl Default for ServeSpec {
             channels: 1,
             requests: 64,
             storm_period: 0,
-            storm_stride: 4,
             seed: 0x0BF5_FAB0,
             dh: DhStrength::Toy,
             workload: "micro".into(),
-            starvation_limit: obfusmem_mem::scheduler::DEFAULT_STARVATION_LIMIT,
             chunk: 4096,
             device_fault: None,
             device_fault_seed: 0xD_F0_17,
@@ -135,14 +129,12 @@ impl ServeSpec {
             "channels" => self.channels = parse_as(value, "channel count")?,
             "requests" => self.requests = parse_u64(value)?,
             "storm_period" => self.storm_period = parse_u64(value)?,
-            "storm_stride" => self.storm_stride = parse_as(value, "storm stride")?,
             "seed" => self.seed = parse_u64(value)?,
             "dh" => {
                 self.dh = DhStrength::parse(value)
                     .ok_or_else(|| ServeError::Config(format!("bad dh strength {value:?}")))?;
             }
             "workload" => self.workload = value.to_string(),
-            "starvation_limit" => self.starvation_limit = parse_as(value, "starvation limit")?,
             "chunk" => self.chunk = parse_u64(value)?,
             "device_fault" => {
                 let (kind, rate) = value.split_once('@').ok_or_else(|| {
@@ -185,9 +177,6 @@ impl ServeSpec {
         if self.requests == 0 {
             return bad("requests per tenant must be at least 1".into());
         }
-        if self.storm_stride == 0 {
-            return bad("storm stride must be positive".into());
-        }
         if self.chunk == 0 {
             // run_chunk(0) serves nothing, so the cell loop would write a
             // zero-request row without ever touching the fabric.
@@ -226,10 +215,8 @@ impl ServeSpec {
         cfg.channels = self.channels;
         cfg.churn_period = churn;
         cfg.storm_period = self.storm_period;
-        cfg.storm_stride = self.storm_stride;
         cfg.dh = self.dh;
         cfg.seed = self.seed;
-        cfg.starvation_limit = self.starvation_limit;
         cfg.workloads = vec![workload];
         if let Some((kind, rate)) = self.device_fault {
             cfg.device_faults = DeviceFaultPlan::single(kind, rate, self.device_fault_seed);
@@ -526,13 +513,6 @@ mod tests {
                 "zero chunk",
                 ServeSpec {
                     chunk: 0,
-                    ..ServeSpec::default()
-                },
-            ),
-            (
-                "zero storm stride",
-                ServeSpec {
-                    storm_stride: 0,
                     ..ServeSpec::default()
                 },
             ),

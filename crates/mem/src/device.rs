@@ -12,13 +12,14 @@
 //!
 //! One datapath, two issue policies. Every channel is one
 //! [`crate::channel::Channel`] (banks, both lanes, the counters), owned
-//! by that channel's FR-FCFS controller in a [`ShardedFrFcfs`].
+//! by that channel's queue in the one FR-FCFS controller, a
+//! [`ShardedFrFcfs`].
 //! [`MemConfig::backend`] picks only how requests reach it:
 //!
 //! * [`BackendKind::Reservation`] — every request, posted ones too,
 //!   issues straight onto its channel at arrival, in arrival order.
-//! * [`BackendKind::Queued`] — requests enqueue on their channel's
-//!   FR-FCFS controller. Demand accesses drive their channel until they
+//! * [`BackendKind::Queued`] — requests enqueue on the FR-FCFS
+//!   controller at class 0. Demand accesses drive their channel until they
 //!   complete (other queued work may legally jump them);
 //!   [`PcmMemory::access_posted`] work merely enqueues, opening the
 //!   reorder window a real controller has. Call
@@ -187,7 +188,7 @@ impl PcmMemory {
         let mut members = vec![0usize; self.cfg.channels];
         let mut first = None;
         for &a in addrs {
-            let (channel, id) = q.enqueue(at, a, kind);
+            let (channel, id) = q.enqueue(at, a, kind, 0);
             first.get_or_insert(id);
             members[channel] += 1;
         }
@@ -241,7 +242,7 @@ impl PcmMemory {
         if self.cfg.backend == BackendKind::Reservation {
             self.access(at, addr, kind);
         } else {
-            self.channels.enqueue(at, addr, kind);
+            self.channels.enqueue(at, addr, kind, 0);
         }
     }
 
@@ -258,7 +259,7 @@ impl PcmMemory {
     }
 
     fn access_queued(&mut self, at: Time, addr: u64, kind: AccessKind) -> AccessResult {
-        let (channel, id) = self.channels.enqueue(at, addr, kind);
+        let (channel, id) = self.channels.enqueue(at, addr, kind, 0);
         self.channels.run_until_completed(channel, id);
         let mut done = None;
         self.collect_queued_events(|_, c| {
@@ -807,13 +808,13 @@ mod tests {
         let posted_at = |i: usize| if i < 24 { Time::ZERO } else { late };
         for (i, &a) in posted.iter().enumerate() {
             m.access_posted(posted_at(i), a, AccessKind::Write);
-            reference.enqueue(posted_at(i), a, AccessKind::Write);
+            reference.enqueue(posted_at(i), a, AccessKind::Write, 0);
         }
         let results = m.access_batch(at, &batch, AccessKind::Read);
 
         let tags: Vec<_> = batch
             .iter()
-            .map(|&a| reference.enqueue(at, a, AccessKind::Read))
+            .map(|&a| reference.enqueue(at, a, AccessKind::Read, 0))
             .collect();
         let mut done: HashMap<RequestId, Completion> = HashMap::new();
         let (mut wear, mut activations, mut posted_done) = (0u64, 0u64, 0usize);

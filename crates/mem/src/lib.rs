@@ -15,11 +15,12 @@
 //!   dirty-eviction write accounting.
 //! * [`channel`] — the one channel datapath: shared data bus, bank
 //!   steering, and per-channel busy tracking.
-//! * [`scheduler`] — the queued FR-FCFS controllers, one per channel,
-//!   each owning its channel's datapath.
+//! * [`scheduler`] — [`scheduler::ShardedFrFcfs`], the one queued
+//!   FR-FCFS controller: a queue per channel, each owning its channel's
+//!   datapath.
 //! * [`device`] — [`device::PcmMemory`], the top-level device: a timing
 //!   front end (`access`) that issues onto the datapaths synchronously or
-//!   through the controllers, plus a functional 64-byte-block backing
+//!   through the controller, plus a functional 64-byte-block backing
 //!   store so upper layers (ObfusMem's memory-side engine, Path ORAM)
 //!   move real bytes.
 //! * [`energy`] — read/write energy and wear (write-endurance) accounting

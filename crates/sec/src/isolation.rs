@@ -17,9 +17,10 @@
 //!    same keys, same counters, same scheduler decisions, same latencies.
 //!    [`legacy_single_session_trace`] hand-rolls that legacy path on one
 //!    session addressed explicitly as lane 0 (`ProcessorEngine` with a
-//!    one-entry session table, a single-lane `MemoryEngine::new`, an
-//!    unsharded `FrFcfsScheduler` with plain class-0 enqueues) and the
-//!    equivalence test compares the two traces sample by sample. This
+//!    one-entry session table, a single-lane `MemoryEngine::new`, Table
+//!    2's one-channel `ShardedFrFcfs` with class-0 enqueues, driven by
+//!    its own serving loop) and the equivalence test compares the two
+//!    traces sample by sample. This
 //!    pins the serving mode as a strict generalization of the paper's
 //!    protocol: CI runs it as a gate.
 
@@ -33,7 +34,7 @@ use obfusmem_cpu::stream::MissStream;
 use obfusmem_cpu::workload::WorkloadSpec;
 use obfusmem_mem::config::MemConfig;
 use obfusmem_mem::request::AccessKind;
-use obfusmem_mem::scheduler::FrFcfsScheduler;
+use obfusmem_mem::scheduler::ShardedFrFcfs;
 use obfusmem_sim::rng::SplitMix64;
 use obfusmem_sim::time::{Duration, Time};
 use obfusmem_tenant::fabric::{
@@ -93,8 +94,7 @@ pub fn legacy_single_session_trace(cfg: &FabricConfig) -> Result<Vec<u64>, Fabri
         proc_engine_seed(cfg),
     );
     let mut mem = MemoryEngine::new(obf, ChannelSession::new(key, nonce));
-    let mut sched = FrFcfsScheduler::new(MemConfig::table2());
-    sched.set_starvation_limit(cfg.starvation_limit);
+    let mut sched = ShardedFrFcfs::new(MemConfig::table2());
     let mut stream = MissStream::new(cfg.workload_for(0).clone(), tenant_stream_seed(cfg, 0));
     let mut data_rng = SplitMix64::new(tenant_data_seed(cfg, 0));
 
@@ -111,14 +111,14 @@ pub fn legacy_single_session_trace(cfg: &FabricConfig) -> Result<Vec<u64>, Fabri
         };
         let pair = proc.obfuscate(now, 0, Delivery::Pair { header, data: None })?;
         let (decoded, _) = mem.receive(0, &pair.real, pair.dummy.as_ref())?;
-        let id = sched.enqueue(now, ev.fill.as_u64(), AccessKind::Read);
-        sched.run_until_completed(id);
+        let (channel, id) = sched.enqueue(now, ev.fill.as_u64(), AccessKind::Read, 0);
+        sched.run_until_completed(channel, id);
         let mut done = now;
-        for comp in sched.take_completions() {
+        sched.drain_completions(|_, comp| {
             if comp.id == id {
                 done = comp.at;
             }
-        }
+        });
         let stored = random_block(&mut data_rng);
         let reply = mem.seal_reply(0, decoded.base_counter, &stored)?;
         if proc.open_reply(0, pair.base_counter, &reply)? != stored {
@@ -146,7 +146,7 @@ pub fn legacy_single_session_trace(cfg: &FabricConfig) -> Result<Vec<u64>, Fabri
                 },
             )?;
             mem.receive(0, &wb_pair.real, wb_pair.dummy.as_ref())?;
-            sched.enqueue(reply_ready, wb.as_u64(), AccessKind::Write);
+            sched.enqueue(reply_ready, wb.as_u64(), AccessKind::Write, 0);
         }
 
         ev = stream.next_event();

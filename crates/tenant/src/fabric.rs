@@ -52,7 +52,7 @@ use obfusmem_mem::addr::{decode, encode};
 use obfusmem_mem::config::MemConfig;
 use obfusmem_mem::fault::{DeviceFaultKind, DeviceFaultPlan, DeviceFaultState};
 use obfusmem_mem::request::{AccessKind, BlockAddr, BlockData};
-use obfusmem_mem::scheduler::{ShardedFrFcfs, DEFAULT_STARVATION_LIMIT};
+use obfusmem_mem::scheduler::ShardedFrFcfs;
 use obfusmem_obs::MetricsNode;
 use obfusmem_sim::rng::SplitMix64;
 use obfusmem_sim::stats::{Histogram, RunningStats};
@@ -159,16 +159,13 @@ pub struct FabricConfig {
     /// Per-tenant re-key period in served requests (0 = never).
     pub churn_period: u64,
     /// Global churn-storm period in fabric-wide completions (0 = never).
+    /// Storm *k* re-keys the tenants `t` with
+    /// `t % STORM_STRIDE == k % STORM_STRIDE`.
     pub storm_period: u64,
-    /// Storm batch stride: storm *k* re-keys tenants `t` with
-    /// `t % storm_stride == k % storm_stride`.
-    pub storm_stride: usize,
     /// Handshake group strength.
     pub dh: DhStrength,
     /// Master seed for handshakes, streams, and engines.
     pub seed: u64,
-    /// Same-bank bypass budget before low-class promotion.
-    pub starvation_limit: u32,
     /// Workloads assigned round-robin (tenant `t` runs
     /// `workloads[t % len]`).
     pub workloads: Vec<WorkloadSpec>,
@@ -192,10 +189,8 @@ impl FabricConfig {
             channels: 1,
             churn_period: 0,
             storm_period: 0,
-            storm_stride: 4,
             dh: DhStrength::Toy,
             seed: 0x0BF5_FAB0,
-            starvation_limit: DEFAULT_STARVATION_LIMIT,
             workloads: vec![micro_test_workload()],
             device_faults: DeviceFaultPlan::default(),
             recovery: RecoveryConfig::default(),
@@ -237,15 +232,16 @@ impl FabricConfig {
                 self.channels
             )));
         }
-        if self.storm_stride == 0 {
-            return Err(FabricError::Config("storm stride must be positive".into()));
-        }
         if self.workloads.is_empty() {
             return Err(FabricError::Config("at least one workload".into()));
         }
         Ok(())
     }
 }
+
+/// Churn storms re-key every `STORM_STRIDE`-th tenant, a different
+/// residue each storm.
+const STORM_STRIDE: usize = 4;
 
 // Domain-separation salts: each consumer of the master seed derives its
 // stream from `(seed ^ salt, label)` through a fresh generator, so
@@ -638,19 +634,17 @@ impl SessionFabric {
                 MemoryEngine::with_sessions(ObfusMemConfig::paper_default(), sessions)
             })
             .collect();
-        let mut sched = ShardedFrFcfs::new(mem_cfg.clone());
-        sched.set_starvation_limit(cfg.starvation_limit);
         let chaos = cfg
             .device_faults
             .is_active()
             .then(|| FabricChaos::new(&cfg, &mem_cfg));
         Ok(SessionFabric {
             cfg,
+            sched: ShardedFrFcfs::new(mem_cfg.clone()),
             mem_cfg,
             partition,
             proc,
             mems,
-            sched,
             tenants,
             queue,
             roundtrip_overhead,
@@ -753,9 +747,7 @@ impl SessionFabric {
             Ok((decoded, _companion)) => {
                 debug_assert_eq!(decoded.header.addr, fill_addr);
                 debug_assert_eq!(decoded.base_counter, pair.base_counter);
-                let (sch, id) = self
-                    .sched
-                    .enqueue_classed(now, fill_addr, AccessKind::Read, arb);
+                let (sch, id) = self.sched.enqueue(now, fill_addr, AccessKind::Read, arb);
                 debug_assert_eq!(sch, channel, "steered address must land on its channel");
                 self.sched.run_until_completed(sch, id);
                 let mut done = now;
@@ -820,7 +812,7 @@ impl SessionFabric {
             match mem.receive(state.mem_lane, &wb_pair.real, wb_pair.dummy.as_ref()) {
                 Ok(_) => {
                     self.sched
-                        .enqueue_classed(state.now, wb_addr, AccessKind::Write, arb);
+                        .enqueue(state.now, wb_addr, AccessKind::Write, arb);
                     self.writebacks += 1;
                 }
                 Err(_) => self.auth_failures += 1,
@@ -849,9 +841,9 @@ impl SessionFabric {
         // Global churn storm: a deterministic stride-batch re-keys at once.
         if self.cfg.storm_period > 0 && self.total_served.is_multiple_of(self.cfg.storm_period) {
             self.storms += 1;
-            let batch = (self.storms as usize - 1) % self.cfg.storm_stride;
+            let batch = (self.storms as usize - 1) % STORM_STRIDE;
             for tt in 0..self.cfg.tenants {
-                if tt % self.cfg.storm_stride == batch {
+                if tt % STORM_STRIDE == batch {
                     self.rekey_tenant(tt)?;
                 }
             }

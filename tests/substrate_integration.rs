@@ -157,10 +157,10 @@ fn queued_and_reservation_devices_agree_on_demand_streams() {
 fn fr_fcfs_beats_reservation_order_under_bursts() {
     // A burst of interleaved row-conflicting requests: the reordering
     // controller finishes no later than the in-order device.
-    use obfusmem::mem::scheduler::FrFcfsScheduler;
+    use obfusmem::mem::scheduler::ShardedFrFcfs;
     let cfg = MemConfig::table2();
     let mut device = PcmMemory::new(cfg.clone());
-    let mut sched = FrFcfsScheduler::new(cfg);
+    let mut sched = ShardedFrFcfs::new(cfg);
     let mut device_finish = Time::ZERO;
     for i in 0..16u64 {
         let addr = if i % 2 == 0 {
@@ -170,15 +170,12 @@ fn fr_fcfs_beats_reservation_order_under_bursts() {
         };
         let r = device.access(Time::ZERO, addr, AccessKind::Read);
         device_finish = device_finish.max(r.complete_at);
-        sched.enqueue(Time::ZERO, addr, AccessKind::Read);
+        sched.enqueue(Time::ZERO, addr, AccessKind::Read, 0);
     }
     sched.run_until(Time::from_ps(1_000_000_000));
-    let sched_finish = sched
-        .take_completions()
-        .into_iter()
-        .map(|c| c.at)
-        .max()
-        .unwrap();
+    let mut sched_finish = None;
+    sched.drain_completions(|_, c| sched_finish = sched_finish.max(Some(c.at)));
+    let sched_finish = sched_finish.unwrap();
     assert!(
         sched_finish <= device_finish,
         "FR-FCFS ({sched_finish}) must not lose to in-order ({device_finish})"
