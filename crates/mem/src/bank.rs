@@ -116,9 +116,9 @@ impl Bank {
     }
 
     /// Open-adaptive page policy hook: close the row (writing it back if
-    /// dirty) when the scheduler predicts no more hits. Returns the extra
-    /// busy time incurred.
-    pub fn close(&mut self, cfg: &MemConfig, at: Time) -> Duration {
+    /// dirty) when the scheduler predicts no more hits. A dirty close
+    /// keeps the bank busy `t_rp` longer.
+    pub fn close(&mut self, cfg: &MemConfig, at: Time) {
         let start = at.max(self.busy_until);
         let cost = if self.dirty {
             self.last_evicted_row = self.open_row;
@@ -129,7 +129,6 @@ impl Bank {
         self.open_row = None;
         self.dirty = false;
         self.busy_until = start + cost;
-        cost
     }
 }
 
@@ -203,9 +202,13 @@ mod tests {
     fn close_clean_is_free_close_dirty_pays() {
         let mut b = Bank::new();
         b.access(&cfg(), Time::ZERO, 5, AccessKind::Read);
-        assert_eq!(b.close(&cfg(), Time::from_ps(100_000)), Duration::ZERO);
+        let (at, busy) = (Time::from_ps(100_000), b.busy_until());
+        b.close(&cfg(), at);
+        assert_eq!(b.busy_until(), at.max(busy));
         b.access(&cfg(), Time::from_ps(200_000), 6, AccessKind::Write);
-        assert_eq!(b.close(&cfg(), Time::from_ps(400_000)), cfg().t_rp);
+        let (at, busy) = (Time::from_ps(400_000), b.busy_until());
+        b.close(&cfg(), at);
+        assert_eq!(b.busy_until(), at.max(busy) + cfg().t_rp);
         assert_eq!(b.open_row(), None);
         assert_eq!(b.take_evicted_row(), Some(6));
     }
