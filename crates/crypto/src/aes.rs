@@ -15,10 +15,9 @@
 //!   [`Aes128::ctr_blocks`]) routes here unless the oracle is forced.
 //! * **Scalar**: the byte-oriented rendering of the specification, kept as
 //!   the readable reference implementation and as the differential-testing
-//!   oracle. Select it per-instance with [`Aes128::new_scalar`],
-//!   process-wide with [`set_force_scalar`], or build-wide with the
-//!   `scalar-aes` cargo feature. [`Aes128::decrypt_block`] always runs it:
-//!   no measured path decrypts.
+//!   oracle. Select it per-instance with [`Aes128::new_scalar`] or
+//!   process-wide with [`set_force_scalar`]. [`Aes128::decrypt_block`]
+//!   always runs it: no measured path decrypts.
 //!
 //! The two paths are bit-identical by construction and the test suite
 //! enforces it on the FIPS-197 and SP 800-38A vectors and thousands of
@@ -115,10 +114,9 @@ pub fn set_force_scalar(on: bool) {
     FORCE_SCALAR.store(on, Ordering::SeqCst);
 }
 
-/// True when [`set_force_scalar`] (or the `scalar-aes` feature) is in
-/// effect for new instances.
+/// True when [`set_force_scalar`] is in effect for new instances.
 pub fn scalar_forced() -> bool {
-    cfg!(feature = "scalar-aes") || FORCE_SCALAR.load(Ordering::SeqCst)
+    FORCE_SCALAR.load(Ordering::SeqCst)
 }
 
 thread_local! {
@@ -415,7 +413,7 @@ mod tests {
         let (key, pt, ct) = (hex16(key), hex16(pt), hex16(ct));
         let fast = Aes128::new(&key);
         let slow = Aes128::new_scalar(&key);
-        assert!(!fast.is_scalar() || cfg!(feature = "scalar-aes"));
+        assert!(!fast.is_scalar());
         assert!(slow.is_scalar());
         assert_eq!(fast.encrypt_block(&pt), ct);
         assert_eq!(slow.encrypt_block(&pt), ct);

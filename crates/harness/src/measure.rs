@@ -207,7 +207,6 @@ impl LeakagePoint {
             window: self.window,
             squeeze: self.squeeze,
             seed,
-            ..AttackConfig::default()
         }
     }
 }

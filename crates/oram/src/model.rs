@@ -33,14 +33,9 @@ pub struct OramModel {
 impl OramModel {
     /// The paper's model: 2500 ns per access over the L=24/Z=4 geometry.
     pub fn paper() -> Self {
-        OramModel::new(Duration::from_ns(2500), OramConfig::paper())
-    }
-
-    /// A model with explicit latency and geometry.
-    pub fn new(latency: Duration, geometry: OramConfig) -> Self {
         OramModel {
-            latency,
-            geometry,
+            latency: Duration::from_ns(2500),
+            geometry: OramConfig::paper(),
             accesses: 0,
             writebacks: 0,
             obs: TraceHandle::disabled(),
