@@ -206,8 +206,8 @@ impl TraceDrivenCore {
     }
 }
 
-/// A fixed-latency back end, useful for tests and as the paper's ORAM
-/// model substrate (`obfusmem-oram` wraps it with accounting).
+/// A fixed-latency test back end: every read and write completes a fixed
+/// latency after issue.
 #[derive(Debug, Clone)]
 pub struct FixedLatencyBackend {
     latency: Duration,
